@@ -193,36 +193,10 @@ let partition algo engine hg device ~config ~delta ~seed ~runs =
 
 let write_blocks prefix name hg assignment k =
   for b = 0 to k - 1 do
-    let bld = Hypergraph.Hgraph.Builder.create () in
-    let ids = Hashtbl.create 64 in
-    Hypergraph.Hgraph.iter_nodes
-      (fun v ->
-        if assignment.(v) = b then
-          let id =
-            match Hypergraph.Hgraph.kind hg v with
-            | Hypergraph.Hgraph.Cell ->
-              Hypergraph.Hgraph.Builder.add_cell bld
-                ~name:(Hypergraph.Hgraph.name hg v)
-                ~size:(Hypergraph.Hgraph.size hg v)
-            | Hypergraph.Hgraph.Pad ->
-              Hypergraph.Hgraph.Builder.add_pad bld
-                ~name:(Hypergraph.Hgraph.name hg v)
-          in
-          Hashtbl.replace ids v id)
-      hg;
-    Hypergraph.Hgraph.iter_nets
-      (fun e ->
-        let pins =
-          Array.to_list (Hypergraph.Hgraph.pins hg e)
-          |> List.filter_map (Hashtbl.find_opt ids)
-        in
-        if List.length pins >= 2 then
-          ignore
-            (Hypergraph.Hgraph.Builder.add_net bld
-               ~name:(Hypergraph.Hgraph.net_name hg e)
-               pins))
-      hg;
-    let sub = Hypergraph.Hgraph.Builder.freeze bld in
+    let sub =
+      (Hypergraph.Induce.induce hg ~keep:(fun v -> assignment.(v) = b))
+        .Hypergraph.Induce.sub
+    in
     let path = Printf.sprintf "%s_block%d.blif" prefix b in
     (* pads in subcircuits may have several nets after cutting; export
        structurally instead when that happens *)

@@ -32,7 +32,16 @@
       recomputation and end feasible; then, as a refine-step
       differential on the same projected state, the hybrid refinement
       (the identical Sanchis schedule plus cut-non-increasing flow
-      passes) must never end with a worse cut than pure Sanchis.
+      passes) must never end with a worse cut than pure Sanchis;
+   7. ECO warm start — a random one-cell netlist edit is re-legalized
+      from the cold partition's partfile: a warm answer must be
+      feasible and oracle-consistent, a cold fallback must still
+      partition the edited netlist;
+   8. clustered run — the clustering pre-pass ([cluster_size] drawn
+      from 2..6) runs under [selfcheck = Cheap]: the self-check must
+      stay clean, the claimed cut must equal the oracle recomputation
+      on the flat circuit, and [k] must not undercut the lower bound
+      [M].
 
    Rounds are seeded [seed, seed+1, ..]: a failing seed printed by this
    tool replays exactly with [--seed N --rounds 1].  Randomness comes
@@ -369,6 +378,39 @@ let check_eco rng hg =
                cold'.Fpart.Driver.k))
   end
 
+(* Comparison 8: the clustering pre-pass, contracted and projected back
+   onto the flat circuit, with the cheap self-checks live. *)
+let check_cluster rng hg =
+  let device = device_of_name (Sm.choose rng devices) in
+  let config =
+    {
+      Fpart.Config.default with
+      seed = Sm.int rng 0xFFFF;
+      cluster_size = Some (Sm.int_in rng 2 6);
+      selfcheck = Check.Selfcheck.Cheap;
+    }
+  in
+  let before = Check.Selfcheck.violations_seen () in
+  let r = Fpart.Driver.run ~config hg device in
+  let after = Check.Selfcheck.violations_seen () in
+  let o =
+    Check.Oracle.recompute hg ~k:r.Fpart.Driver.k
+      ~assign:(fun v -> r.Fpart.Driver.assignment.(v))
+  in
+  if after > before then
+    Divergence
+      (Printf.sprintf "cluster selfcheck: %d violation(s) on %s" (after - before)
+         device.Device.dev_name)
+  else if o.Check.Oracle.cut <> r.Fpart.Driver.cut then
+    Divergence
+      (Printf.sprintf "cluster cut: claimed %d, oracle %d" r.Fpart.Driver.cut
+         o.Check.Oracle.cut)
+  else if r.Fpart.Driver.k < r.Fpart.Driver.m_lower then
+    Divergence
+      (Printf.sprintf "cluster k=%d below the lower bound M=%d" r.Fpart.Driver.k
+         r.Fpart.Driver.m_lower)
+  else Ok_round
+
 let run_round ~max_cells round_seed =
   let rng = Sm.create round_seed in
   let hg = random_circuit rng ~max_cells in
@@ -384,6 +426,7 @@ let run_round ~max_cells round_seed =
       ("mlevel", fun () -> check_mlevel rng hg);
       ("refiner", fun () -> check_refiner rng hg);
       ("eco", fun () -> check_eco rng hg);
+      ("cluster", fun () -> check_cluster rng hg);
     ]
   in
   List.fold_left

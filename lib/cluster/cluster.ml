@@ -1,5 +1,4 @@
 module Hg = Hypergraph.Hgraph
-module Csr = Hypergraph.Csr
 module Matching = Matching
 
 type t = {
@@ -17,29 +16,21 @@ let members t c = t.member_lists.(c)
 let reduction t =
   float_of_int (Hg.num_nodes t.fine_hg) /. float_of_int (Hg.num_nodes t.coarse_hg)
 
-(* The contraction itself lives in Csr.contract and the connectivity
-   heuristic in Matching.compute; this module only restores names. *)
+(* The connectivity heuristic lives in Matching.compute and the
+   contraction in Hgraph.contract; this module keeps the member lists. *)
 let build hg ~max_cluster_size ~seed =
   if max_cluster_size < 1 then invalid_arg "Cluster.build: max_cluster_size < 1";
-  let csr = Csr.of_hgraph hg in
   let map, n_coarse =
     Matching.compute ~policy:Matching.Agglomerate
-      ~max_weight:max_cluster_size ~seed csr
+      ~max_weight:max_cluster_size ~seed hg
   in
-  let coarse_csr, memento = Csr.contract csr ~map ~coarse_nodes:n_coarse in
   let member_lists = Array.make n_coarse [] in
   for v = Hg.num_nodes hg - 1 downto 0 do
     member_lists.(map.(v)) <- v :: member_lists.(map.(v))
   done;
-  let node_name c =
-    match member_lists.(c) with
-    | [ p ] when Hg.is_pad hg p -> Hg.name hg p
-    | _ -> Printf.sprintf "cl%d" c
-  in
-  let net_name e = Hg.net_name hg memento.Csr.kept_nets.(e) in
   {
     fine_hg = hg;
-    coarse_hg = Csr.to_hgraph coarse_csr ~node_name ~net_name;
+    coarse_hg = Hg.contract hg ~map ~coarse_nodes:n_coarse;
     node_map = map;
     member_lists;
   }

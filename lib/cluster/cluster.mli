@@ -24,9 +24,11 @@ module Matching = Matching
 
 type t
 
-(** The coarse hypergraph.  Coarse cell sizes (and flip-flop counts) are
-    the sums over their members; coarse nets are the original nets with
-    at least two distinct coarse endpoints. *)
+(** The coarse hypergraph, {!Hypergraph.Hgraph.contract} of the fine
+    one.  Coarse cell sizes (and flip-flop counts) are the sums over
+    their members, and a coarse node carries its lowest-numbered
+    member's name; coarse nets are the original nets with at least two
+    distinct coarse endpoints or a pad. *)
 val coarse : t -> Hypergraph.Hgraph.t
 
 (** [fine t] is the original hypergraph. *)

@@ -1,4 +1,4 @@
-module Csr = Hypergraph.Csr
+module Hg = Hypergraph.Hgraph
 module Rng = Prng.Splitmix
 
 type policy = Pairs | Agglomerate
@@ -7,9 +7,9 @@ type policy = Pairs | Agglomerate
    broadcast); skipping them keeps a matching pass O(pins). *)
 let net_degree_cap = 64
 
-let compute ~policy ~max_weight ?within ~seed csr =
+let compute ~policy ~max_weight ?within ~seed hg =
   if max_weight < 1 then invalid_arg "Matching.compute: max_weight < 1";
-  let n = Csr.num_nodes csr in
+  let n = Hg.num_nodes hg in
   (match within with
   | Some p when Array.length p <> n ->
     invalid_arg "Matching.compute: within length <> num_nodes"
@@ -31,16 +31,16 @@ let compute ~policy ~max_weight ?within ~seed csr =
   (* Add m's connectivity into [score] for every eligible neighbour:
      2-pin nets (cones) count double, fat nets are skipped. *)
   let add_contributions m =
-    Csr.iter_node_nets
+    Array.iter
       (fun e ->
-        let d = Csr.net_degree csr e in
+        let d = Hg.net_degree hg e in
         if d >= 2 && d <= net_degree_cap then begin
           let w = if d = 2 then 2.0 else 1.0 /. float_of_int (d - 1) in
-          Csr.iter_net_pins
+          Array.iter
             (fun u ->
               if
                 u <> m && group.(u) < 0
-                && (not (Csr.is_pad csr u))
+                && (not (Hg.is_pad hg u))
                 && same u m
               then begin
                 if score.(u) = 0.0 then begin
@@ -49,9 +49,9 @@ let compute ~policy ~max_weight ?within ~seed csr =
                 end;
                 score.(u) <- score.(u) +. w
               end)
-            csr e
+            (Hg.pins hg e)
         end)
-      csr m
+      (Hg.nets_of hg m)
   in
   (* Best touched candidate under the running group size; ties break to
      the lowest id so the result is independent of net layout order. *)
@@ -59,7 +59,7 @@ let compute ~policy ~max_weight ?within ~seed csr =
     let best = ref (-1) and best_score = ref 0.0 in
     for i = 0 to !ntouched - 1 do
       let u = touched.(i) in
-      if group.(u) < 0 && gsize + csr.Csr.size.(u) <= max_weight then
+      if group.(u) < 0 && gsize + Hg.size hg u <= max_weight then
         if
           score.(u) > !best_score
           || (score.(u) = !best_score && !best >= 0 && u < !best)
@@ -73,7 +73,7 @@ let compute ~policy ~max_weight ?within ~seed csr =
   let order =
     let cells = ref [] in
     for v = n - 1 downto 0 do
-      if not (Csr.is_pad csr v) then cells := v :: !cells
+      if not (Hg.is_pad hg v) then cells := v :: !cells
     done;
     let a = Array.of_list !cells in
     Rng.shuffle (Rng.create seed) a;
@@ -84,7 +84,7 @@ let compute ~policy ~max_weight ?within ~seed csr =
       if group.(v0) < 0 then begin
         match policy with
         | Pairs ->
-          let sz = csr.Csr.size.(v0) in
+          let sz = Hg.size hg v0 in
           if sz < max_weight then begin
             (* mark v0 ineligible for self-scoring via a temp tag *)
             group.(v0) <- v0;
@@ -100,7 +100,7 @@ let compute ~policy ~max_weight ?within ~seed csr =
           else group.(v0) <- v0
         | Agglomerate ->
           group.(v0) <- v0;
-          let gsize = ref csr.Csr.size.(v0) in
+          let gsize = ref (Hg.size hg v0) in
           add_contributions v0;
           let stop = ref false in
           while not !stop do
@@ -108,7 +108,7 @@ let compute ~policy ~max_weight ?within ~seed csr =
             if u < 0 then stop := true
             else begin
               group.(u) <- v0;
-              gsize := !gsize + csr.Csr.size.(u);
+              gsize := !gsize + Hg.size hg u;
               score.(u) <- 0.0;
               add_contributions u;
               if !gsize >= max_weight then stop := true

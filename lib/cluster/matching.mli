@@ -1,4 +1,4 @@
-(** Heavy-edge / cone-aware matching on CSR hypergraphs.
+(** Heavy-edge / cone-aware matching on circuit hypergraphs.
 
     The single source of coarsening decisions: both the multilevel
     engine's per-level pairing and {!Cluster}'s agglomerative pre-pass
@@ -13,10 +13,10 @@
     matching quadratic on star netlists.
 
     Pads are never matched — every pad stays a singleton group, which
-    {!Csr.contract} requires.  All tie-breaks are by lowest node id and
-    the visit order comes from a seeded {!Prng.Splitmix} shuffle, so a
-    matching is a pure function of [(graph, policy, max_weight, within,
-    seed)]. *)
+    {!Hypergraph.Hgraph.contract} requires.  All tie-breaks are by
+    lowest node id and the visit order comes from a seeded
+    {!Prng.Splitmix} shuffle, so a matching is a pure function of
+    [(graph, policy, max_weight, within, seed)]. *)
 
 type policy =
   | Pairs
@@ -28,7 +28,7 @@ type policy =
           stays within [max_weight].  {!Cluster}'s historical
           behaviour, reaching higher per-pass reduction. *)
 
-(** [compute ~policy ~max_weight ?within ~seed csr] returns
+(** [compute ~policy ~max_weight ?within ~seed hg] returns
     [(map, coarse_nodes)] where [map.(v)] is [v]'s group and group ids
     are dense, numbered by each group's lowest fine node id (so the
     result is independent of visit order up to the grouping itself).
@@ -45,5 +45,5 @@ val compute :
   max_weight:int ->
   ?within:int array ->
   seed:int ->
-  Hypergraph.Csr.t ->
+  Hypergraph.Hgraph.t ->
   int array * int

@@ -54,6 +54,6 @@ let to_dot ?assignment ?(name = "circuit") h =
   Buffer.contents buf
 
 let write_file path ?assignment ?name h =
-  let oc = open_out_bin path in
-  output_string oc (to_dot ?assignment ?name h);
-  close_out oc
+  (* render first: a rendering error must not leave an empty file *)
+  let text = to_dot ?assignment ?name h in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)

@@ -11,5 +11,6 @@
     @raise Invalid_argument if [assignment] has the wrong length. *)
 val to_dot : ?assignment:int array -> ?name:string -> Hgraph.t -> string
 
-(** [write_file path ?assignment ?name h] writes the rendering. *)
+(** [write_file path ?assignment ?name h] writes the rendering; [path]
+    is left untouched when rendering raises. *)
 val write_file : string -> ?assignment:int array -> ?name:string -> Hgraph.t -> unit

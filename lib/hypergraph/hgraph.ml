@@ -19,6 +19,44 @@ type t = {
   max_net_degree : int;
 }
 
+(* The array-building tail shared by [Builder.freeze] and [contract]:
+   derive the node -> net index, pad flags and cached totals from the
+   per-node and per-net arrays, which are taken over without copying. *)
+let of_arrays ~kinds ~sizes ~flop_counts ~names ~net_names ~net_pins =
+  let n = Array.length kinds in
+  let degree = Array.make n 0 in
+  Array.iter (fun pins -> Array.iter (fun v -> degree.(v) <- degree.(v) + 1) pins) net_pins;
+  let node_nets = Array.map (fun d -> Array.make d 0) degree in
+  let fill = Array.make n 0 in
+  Array.iteri
+    (fun e pins ->
+      Array.iter
+        (fun v ->
+          node_nets.(v).(fill.(v)) <- e;
+          fill.(v) <- fill.(v) + 1)
+        pins)
+    net_pins;
+  let net_pad =
+    Array.map (fun pins -> Array.exists (fun v -> kinds.(v) = Pad) pins) net_pins
+  in
+  let num_cells = Array.fold_left (fun acc k -> if k = Cell then acc + 1 else acc) 0 kinds in
+  {
+    kinds;
+    sizes;
+    flop_counts;
+    names;
+    net_names;
+    net_pins;
+    node_nets;
+    net_pad;
+    num_cells;
+    num_pads = n - num_cells;
+    total_size = Array.fold_left ( + ) 0 sizes;
+    max_node_degree = Array.fold_left max 0 degree;
+    max_net_degree =
+      Array.fold_left (fun acc pins -> max acc (Array.length pins)) 0 net_pins;
+  }
+
 module Builder = struct
   type t = {
     b_kinds : kind Vec.t;
@@ -71,45 +109,10 @@ module Builder = struct
     id
 
   let freeze b =
-    let kinds = Vec.to_array b.b_kinds in
-    let sizes = Vec.to_array b.b_sizes in
-    let flop_counts = Vec.to_array b.b_flops in
-    let names = Vec.to_array b.b_names in
-    let net_names = Vec.to_array b.b_net_names in
-    let net_pins = Vec.to_array b.b_net_pins in
-    let n = Array.length kinds in
-    let m = Array.length net_pins in
-    let degree = Array.make n 0 in
-    Array.iter (fun pins -> Array.iter (fun v -> degree.(v) <- degree.(v) + 1) pins) net_pins;
-    let node_nets = Array.map (fun d -> Array.make d 0) (Array.map (fun d -> d) degree) in
-    let fill = Array.make n 0 in
-    for e = 0 to m - 1 do
-      Array.iter
-        (fun v ->
-          node_nets.(v).(fill.(v)) <- e;
-          fill.(v) <- fill.(v) + 1)
-        net_pins.(e)
-    done;
-    let net_pad =
-      Array.map (fun pins -> Array.exists (fun v -> kinds.(v) = Pad) pins) net_pins
-    in
-    let num_cells = Array.fold_left (fun acc k -> if k = Cell then acc + 1 else acc) 0 kinds in
-    {
-      kinds;
-      sizes;
-      flop_counts;
-      names;
-      net_names;
-      net_pins;
-      node_nets;
-      net_pad;
-      num_cells;
-      num_pads = n - num_cells;
-      total_size = Array.fold_left ( + ) 0 sizes;
-      max_node_degree = Array.fold_left max 0 degree;
-      max_net_degree =
-        Array.fold_left (fun acc pins -> max acc (Array.length pins)) 0 net_pins;
-    }
+    of_arrays ~kinds:(Vec.to_array b.b_kinds) ~sizes:(Vec.to_array b.b_sizes)
+      ~flop_counts:(Vec.to_array b.b_flops) ~names:(Vec.to_array b.b_names)
+      ~net_names:(Vec.to_array b.b_net_names)
+      ~net_pins:(Vec.to_array b.b_net_pins)
 end
 
 let num_nodes h = Array.length h.kinds
@@ -153,6 +156,56 @@ let fold_nets f acc h =
   let acc = ref acc in
   iter_nets (fun e -> acc := f !acc e) h;
   !acc
+
+let contract h ~map ~coarse_nodes =
+  let n = num_nodes h in
+  if Array.length map <> n then invalid_arg "Hgraph.contract: map length <> num_nodes";
+  let sizes = Array.make coarse_nodes 0 in
+  let flop_counts = Array.make coarse_nodes 0 in
+  let members = Array.make coarse_nodes 0 in
+  let lowest = Array.make coarse_nodes (-1) in
+  let kinds = Array.make coarse_nodes Cell in
+  for v = 0 to n - 1 do
+    let c = map.(v) in
+    if c < 0 || c >= coarse_nodes then invalid_arg "Hgraph.contract: coarse id out of range";
+    sizes.(c) <- sizes.(c) + h.sizes.(v);
+    flop_counts.(c) <- flop_counts.(c) + h.flop_counts.(v);
+    members.(c) <- members.(c) + 1;
+    if lowest.(c) < 0 then lowest.(c) <- v;
+    if h.kinds.(v) = Pad then kinds.(c) <- Pad
+  done;
+  for c = 0 to coarse_nodes - 1 do
+    if members.(c) = 0 then invalid_arg "Hgraph.contract: empty coarse node";
+    (* a pad consumes one IOB wherever it lands; merged into anything it
+       would mis-count T_i after projection *)
+    if kinds.(c) = Pad && members.(c) > 1 then
+      invalid_arg "Hgraph.contract: pad contracted with another node"
+  done;
+  let names = Array.map (fun v -> h.names.(v)) lowest in
+  let net_names = Vec.create () and net_pins = Vec.create () in
+  let stamp = Array.make coarse_nodes (-1) in
+  let scratch = Array.make h.max_net_degree 0 in
+  Array.iteri
+    (fun e pins ->
+      let d = ref 0 in
+      Array.iter
+        (fun v ->
+          let c = map.(v) in
+          if stamp.(c) <> e then begin
+            stamp.(c) <- e;
+            scratch.(!d) <- c;
+            incr d
+          end)
+        pins;
+      if !d >= 2 || h.net_pad.(e) then begin
+        let coarse_pins = Array.sub scratch 0 !d in
+        Array.sort Int.compare coarse_pins;
+        Vec.push net_pins coarse_pins;
+        Vec.push net_names h.net_names.(e)
+      end)
+    h.net_pins;
+  of_arrays ~kinds ~sizes ~flop_counts ~names ~net_names:(Vec.to_array net_names)
+    ~net_pins:(Vec.to_array net_pins)
 
 let validate h =
   let n = num_nodes h and m = num_nets h in

@@ -10,7 +10,8 @@
       where each consumes one IOB pin;
     - {b nets} [E] are hyperedges over nodes.
 
-    The structure is immutable once frozen from a {!Builder}; node and
+    The structure is immutable once frozen from a {!Builder} (or
+    contracted from a finer graph, {!contract}); node and
     net identifiers are dense integers, which lets partitioning engines
     use plain arrays for all per-node and per-net state. *)
 
@@ -143,6 +144,26 @@ val fold_nodes : ('acc -> node -> 'acc) -> 'acc -> t -> 'acc
 
 (** [fold_nets f acc h] folds over net ids in increasing order. *)
 val fold_nets : ('acc -> net -> 'acc) -> 'acc -> t -> 'acc
+
+(** {1 Contraction} *)
+
+(** [contract h ~map ~coarse_nodes] collapses each node [v] into coarse
+    node [map.(v)], the coarsening step of the multilevel engine and of
+    the clustering pre-pass.  Coarse sizes and flip-flop counts are
+    member sums; a coarse node takes the name of its lowest-numbered
+    member.  A net is kept iff its pins span [>= 2] distinct coarse
+    nodes or it touches a pad; kept nets stay in net order, keep their
+    names, and their pins are the sorted distinct coarse endpoints.
+
+    Pads must stay singletons, which makes the contraction exact: for
+    any partition of the coarse graph, block sizes [S_i], pin counts
+    [T_i] and the cut equal those of its projection
+    [fun v -> assign.(map.(v))] onto [h].
+
+    @raise Invalid_argument if [map] has the wrong length, a coarse id
+    is out of [0 .. coarse_nodes-1], some coarse id has no members, or
+    a pad is grouped with any other node. *)
+val contract : t -> map:int array -> coarse_nodes:int -> t
 
 (** {1 Integrity} *)
 

@@ -6,8 +6,7 @@
     with fewer than two kept pins disappear (they can never be cut
     inside the subcircuit).
 
-    Used by the multilevel recursive bisection (each half recurses on
-    its own subhypergraph) and by the CLI's per-block netlist export. *)
+    Used by the CLI's per-block netlist export ([fpart -o PREFIX]). *)
 
 type t = {
   sub : Hgraph.t;          (** The induced subhypergraph. *)

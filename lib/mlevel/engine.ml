@@ -1,5 +1,4 @@
 module Hg = Hypergraph.Hgraph
-module Csr = Hypergraph.Csr
 module Matching = Cluster.Matching
 module State = Partition.State
 module Cost = Partition.Cost
@@ -52,54 +51,47 @@ type result = {
 let c_levels = Obs.counter "mlevel.levels"
 let c_refines = Obs.counter "mlevel.refines"
 
-(* One rung of the hierarchy: the coarse graph produced by contracting
-   the previous level, the memento to undo it, and the composed
-   flat-node → this-level map for the oracle cross-check. *)
+(* One rung of the hierarchy: the coarse graph contracted from the
+   previous level, the previous-level → this-level [map] that projects
+   a partition back down, and the composed flat-node → this-level map
+   for the oracle cross-check. *)
 type level = {
   index : int;  (* 1-based; 0 is the original graph *)
-  csr : Csr.t;
-  memento : Csr.memento;
+  graph : Hg.t;
+  map : int array;
   flat_map : int array;
-  hg_view : Hg.t Lazy.t;
 }
 
 (* Coarsen until the node count reaches [thresh] (pads never contract,
    so the threshold is on top of the pad count), the hierarchy hits
    [max_levels], or a matching pass stops pulling its weight.  Returns
    levels finest-first. *)
-let coarsen_hierarchy mcfg ~max_w ~thresh ~seed ?within csr0 =
+let coarsen_hierarchy mcfg ~max_w ~thresh ~seed ?within hg0 =
   let levels = ref [] in
-  let csr = ref csr0 in
-  let flat_map = ref (Array.init (Csr.num_nodes csr0) Fun.id) in
+  let hg = ref hg0 in
+  let flat_map = ref (Array.init (Hg.num_nodes hg0) Fun.id) in
   let cur_within = ref within in
   let idx = ref 0 in
   let stop = ref false in
   while
-    (not !stop) && !idx < mcfg.max_levels && Csr.num_nodes !csr > thresh
+    (not !stop) && !idx < mcfg.max_levels && Hg.num_nodes !hg > thresh
   do
-    let fine_nodes = Csr.num_nodes !csr in
+    let fine_nodes = Hg.num_nodes !hg in
     let map, nc =
       Matching.compute ~policy:Matching.Pairs ~max_weight:max_w
         ?within:!cur_within
         ~seed:(seed + (0x9e37 * (!idx + 1)))
-        !csr
+        !hg
     in
     if float_of_int fine_nodes /. float_of_int nc < mcfg.min_reduction then
       stop := true
     else begin
-      let coarse, memento = Csr.contract !csr ~map ~coarse_nodes:nc in
+      let coarse = Hg.contract !hg ~map ~coarse_nodes:nc in
       incr idx;
       Obs.incr c_levels;
       flat_map := Array.map (fun c -> map.(c)) !flat_map;
       levels :=
-        {
-          index = !idx;
-          csr = coarse;
-          memento;
-          flat_map = !flat_map;
-          hg_view = lazy (Csr.to_hgraph coarse);
-        }
-        :: !levels;
+        { index = !idx; graph = coarse; map; flat_map = !flat_map } :: !levels;
       (match !cur_within with
       | Some w ->
         let w' = Array.make nc (-1) in
@@ -112,11 +104,11 @@ let coarsen_hierarchy mcfg ~max_w ~thresh ~seed ?within csr0 =
             ("type", Json.Str "mlevel_coarsen");
             ("level", Json.Int !idx);
             ("nodes", Json.Int nc);
-            ("nets", Json.Int (Csr.num_nets coarse));
+            ("nets", Json.Int (Hg.num_nets coarse));
             ( "ratio",
               Json.Float (float_of_int fine_nodes /. float_of_int nc) );
           ];
-      csr := coarse
+      hg := coarse
     end
   done;
   List.rev !levels
@@ -208,8 +200,8 @@ let refine_level mcfg base ~ctx ~hg ~k ~stats ~lvl_index ~flat_map lvl_hg
   State.assignment st
 
 (* Unwind a hierarchy: optionally refine the coarsest level itself
-   (V-cycle repeats), then project memento by memento, refining at
-   each finer level down to and including the flat graph. *)
+   (V-cycle repeats), then project level by level, refining at each
+   finer level down to and including the flat graph. *)
 let descend mcfg base ~ctx ~hg ~levels ~k ~stats ~refine_top assign_top =
   let arr = Array.of_list levels in
   let t = Array.length arr in
@@ -219,15 +211,15 @@ let descend mcfg base ~ctx ~hg ~levels ~k ~stats ~refine_top assign_top =
     let top = arr.(t - 1) in
     assign :=
       refine_level mcfg base ~ctx ~hg ~k ~stats ~lvl_index:top.index
-        ~flat_map:top.flat_map (Lazy.force top.hg_view) !assign
+        ~flat_map:top.flat_map top.graph !assign
   end;
   for i = t - 1 downto 0 do
     let lvl = arr.(i) in
-    let fine_assign = Csr.project lvl.memento !assign in
+    let fine_assign = Array.map (fun c -> !assign.(c)) lvl.map in
     let fine_hg, fine_map, fine_index =
       if i = 0 then (hg, Lazy.force identity, 0)
       else
-        (Lazy.force arr.(i - 1).hg_view, arr.(i - 1).flat_map, arr.(i - 1).index)
+        (arr.(i - 1).graph, arr.(i - 1).flat_map, arr.(i - 1).index)
     in
     assign :=
       refine_level mcfg base ~ctx ~hg ~k ~stats ~lvl_index:fine_index
@@ -241,26 +233,22 @@ let run ?(config = default_config) ?(base = Config.default) hg device =
   let delta = Config.delta_for base device in
   let ctx = Cost.context_of device ~delta hg in
   let m = ctx.Cost.m_lower in
-  let csr0 = Csr.of_hgraph hg in
-  let n0 = Csr.num_nodes csr0 in
+  let n0 = Hg.num_nodes hg in
   (* pads never contract, so the stop threshold sits on top of them;
      12·M keeps enough resolution for an M-way coarse partition *)
-  let thresh =
-    max config.coarsen_thresh (12 * m) + Csr.num_pads csr0
-  in
+  let thresh = max config.coarsen_thresh (12 * m) + Hg.num_pads hg in
   let max_w =
     max 1
       (int_of_float (config.max_weight_frac *. float_of_int ctx.Cost.s_max))
   in
   let sp_c = Recorder.span_begin "mlevel.coarsen" in
   let levels =
-    coarsen_hierarchy config ~max_w ~thresh ~seed:base.Config.seed csr0
+    coarsen_hierarchy config ~max_w ~thresh ~seed:base.Config.seed hg
   in
   let nlevels = List.length levels in
   let top = match List.rev levels with l :: _ -> Some l | [] -> None in
-  let top_nodes =
-    match top with Some l -> Csr.num_nodes l.csr | None -> n0
-  in
+  let top_hg = match top with Some l -> l.graph | None -> hg in
+  let top_nodes = Hg.num_nodes top_hg in
   let coarsen_ratio = float_of_int n0 /. float_of_int top_nodes in
   Recorder.span_end sp_c
     ~attrs:
@@ -269,7 +257,6 @@ let run ?(config = default_config) ?(base = Config.default) hg device =
         ("nodes", Json.Int top_nodes);
         ("ratio", Json.Float coarsen_ratio);
       ];
-  let top_hg = match top with Some l -> Lazy.force l.hg_view | None -> hg in
   let sp_i = Recorder.span_begin "mlevel.initial" in
   let coarse_cfg = { base with Config.cluster_size = None } in
   let r0 =
@@ -296,14 +283,14 @@ let run ?(config = default_config) ?(base = Config.default) hg device =
     let levels' =
       coarsen_hierarchy config ~max_w ~thresh
         ~seed:(base.Config.seed + (0x51 * cycle))
-        ~within:!assign csr0
+        ~within:!assign hg
     in
     match List.rev levels' with
     | [] -> ()
     | top' :: _ ->
       (* clusters respect blocks, so the coarse seed partition is just
          the flat one read through the composed map *)
-      let top_assign = Array.make (Csr.num_nodes top'.csr) 0 in
+      let top_assign = Array.make (Hg.num_nodes top'.graph) 0 in
       Array.iteri (fun v c -> top_assign.(c) <- !assign.(v)) top'.flat_map;
       let sp = Recorder.span_begin "mlevel.uncoarsen" in
       assign :=

@@ -11,8 +11,8 @@
     {2 Phases}
 
     1. {b Coarsening.}  Heavy-edge / cone-aware matching
-       ({!Cluster.Matching}, [Pairs] policy) on a frozen CSR view
-       ({!Hypergraph.Csr}), level after level.  Contracted-vertex
+       ({!Cluster.Matching}, [Pairs] policy), each level contracted
+       with {!Hypergraph.Hgraph.contract}.  Contracted-vertex
        weights are capped at [max_weight_frac · S_MAX] so a coarse node
        always fits a device and coarse solutions stay projectable.
        Stops at [coarsen_thresh] nodes (scaled up to [12·M] when the
@@ -24,10 +24,11 @@
        [coarse_runs] seeds sharded across [Fpart_exec.Pool] domains
        ([base.jobs]), bit-identical at any job count.
 
-    3. {b Uncoarsening + refinement.}  Each contraction memento is
-       unwound in turn; the projected partition re-seeds the gain
-       buckets and a bounded FPART improvement ({!Fpart.Driver.refine}
-       with [refine_passes]) runs at every level.  Because contraction
+    3. {b Uncoarsening + refinement.}  Each level's matching map
+       projects the partition one level down; the projection re-seeds
+       the gain buckets and a bounded FPART improvement
+       ({!Fpart.Driver.refine} with [refine_passes]) runs at every
+       level.  Because contraction
        is exact (pads stay singletons; a net survives iff it spans ≥ 2
        coarse nodes or touches a pad), block sizes [S_i], pin counts
        [T_i] and the cut are {e equal} between a coarse partition and

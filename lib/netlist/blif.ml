@@ -251,8 +251,8 @@ let to_string m =
   Buffer.contents buf
 
 let write_file path m =
-  let oc = open_out_bin path in
-  output_string oc (to_string m);
-  close_out oc
+  (* render first: a rendering error must not leave an empty file *)
+  let text = to_string m in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 let of_hypergraph ~name h = { model_name = name; graph = h }

@@ -35,7 +35,8 @@ val parse_file : string -> (model, string) result
     {!parse_string} and round-trips node/net/pad counts. *)
 val to_string : model -> string
 
-(** [write_file path m] writes [to_string m] to [path]. *)
+(** [write_file path m] writes [to_string m] to [path]; [path] is left
+    untouched when rendering raises. *)
 val write_file : string -> model -> unit
 
 (** [of_hypergraph ~name h] wraps an existing hypergraph as a model

@@ -129,9 +129,9 @@ let parse_string text =
   go 1 lines
 
 let write_file path t =
-  let oc = open_out_bin path in
-  output_string oc (to_string t);
-  close_out oc
+  (* render first: a rendering error must not leave an empty file *)
+  let text = to_string t in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 let parse_file path =
   let ic = open_in_bin path in

@@ -40,7 +40,8 @@ val parse_file : string -> (modul, string) result
     counts, sizes and flip-flop weights. *)
 val to_string : modul -> string
 
-(** [write_file path m] writes [to_string m]. *)
+(** [write_file path m] writes [to_string m]; [path] is left untouched
+    when rendering raises. *)
 val write_file : string -> modul -> unit
 
 (** [of_hypergraph ~name h] wraps a hypergraph as a module. *)

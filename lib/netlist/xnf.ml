@@ -167,8 +167,8 @@ let to_string d =
   Buffer.contents buf
 
 let write_file path d =
-  let oc = open_out_bin path in
-  output_string oc (to_string d);
-  close_out oc
+  (* render first: a rendering error must not leave an empty file *)
+  let text = to_string d in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 let of_hypergraph ?part ~name h = { design_name = name; part; graph = h }

@@ -33,6 +33,8 @@ val parse_file : string -> (design, string) result
     node/net/pad counts and node weights. *)
 val to_string : design -> string
 
+(** [write_file path d] writes [to_string d]; [path] is left untouched
+    when rendering raises. *)
 val write_file : string -> design -> unit
 
 val of_hypergraph : ?part:string -> name:string -> Hypergraph.Hgraph.t -> design

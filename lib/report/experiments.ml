@@ -644,12 +644,12 @@ let variance t =
 (* Modern baseline                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* FPART against a post-paper multilevel recursive bisection (hMETIS-
-   style, cut-driven).  The point the comparison makes: on easy rows the
-   better cuts of multilevel tie FPART's device counts, but where the
-   pin constraint binds (s13207, s38584) cut-driven bisection needs
-   extra devices — the paper's implicit thesis that device-count
-   minimisation is not cut minimisation. *)
+(* Flat FPART against the post-paper multilevel V-cycle engine
+   (Mlevel.Engine: matching-based coarsening, FPART on the coarsest
+   graph, bounded refinement per level).  At MCNC scale the V-cycle
+   mostly finds smaller cuts but sometimes pays a device for them —
+   the paper's point that device-count minimisation is not cut
+   minimisation. *)
 let modern t =
   let device = Device.xc3020 in
   let rows =

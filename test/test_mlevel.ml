@@ -1,9 +1,8 @@
-(* Multilevel machinery: Induce extraction, the CSR hypergraph and its
-   exact contraction, heavy-edge matching, and the V-cycle engine. *)
+(* Multilevel machinery: Induce extraction, exact Hgraph contraction,
+   heavy-edge matching, and the V-cycle engine. *)
 
 module Hg = Hypergraph.Hgraph
 module Induce = Hypergraph.Induce
-module Csr = Hypergraph.Csr
 module Matching = Cluster.Matching
 module Engine = Mlevel.Engine
 module State = Partition.State
@@ -62,40 +61,9 @@ let test_induce_net_restriction () =
   let ind2 = Induce.induce h ~keep:(fun v -> v = x) in
   Alcotest.(check int) "net dropped" 0 (Hg.num_nets ind2.Induce.sub)
 
-(* --- Csr ----------------------------------------------------------- *)
+(* --- Contraction ---------------------------------------------------- *)
 
-let test_csr_roundtrip () =
-  let h = circuit 11 in
-  let c = Csr.of_hgraph h in
-  Alcotest.(check bool) "validates" true (Csr.validate c = Ok ());
-  Alcotest.(check int) "nodes" (Hg.num_nodes h) (Csr.num_nodes c);
-  Alcotest.(check int) "nets" (Hg.num_nets h) (Csr.num_nets c);
-  let hg_pins =
-    let n = ref 0 in
-    Hg.iter_nets (fun e -> n := !n + Hg.net_degree h e) h;
-    !n
-  in
-  Alcotest.(check int) "pins" hg_pins (Csr.num_pins c);
-  Alcotest.(check int) "pads" (Hg.num_pads h) (Csr.num_pads c);
-  Alcotest.(check int) "size" (Hg.total_size h) (Csr.total_size c);
-  let h2 = Csr.to_hgraph c in
-  Alcotest.(check bool) "hg validates" true (Hg.validate h2 = Ok ());
-  Hg.iter_nodes
-    (fun v ->
-      Alcotest.(check int) "node size" (Hg.size h v) (Hg.size h2 v);
-      Alcotest.(check int) "node flops" (Hg.flops h v) (Hg.flops h2 v);
-      Alcotest.(check bool) "node kind" (Hg.is_pad h v) (Hg.is_pad h2 v))
-    h;
-  Hg.iter_nets
-    (fun e ->
-      let sorted a = Array.sort compare a; a in
-      Alcotest.(check (array int))
-        "net pins"
-        (sorted (Array.copy (Hg.pins h e)))
-        (sorted (Array.copy (Hg.pins h2 e))))
-    h
-
-(* a(2) b(1) c(3) + pad p; nets n1=abc n2=ab n3=pc n4=ac *)
+(* a(2) b(1) c(3) + pad p; nets n1=abc n2=ab n3=pc n4=ac n5=p *)
 let tiny () =
   let b = Hg.Builder.create () in
   let a = Hg.Builder.add_cell b ~name:"a" ~size:2 in
@@ -106,40 +74,65 @@ let tiny () =
   ignore (Hg.Builder.add_net b ~name:"n2" [ a; bb ]);
   ignore (Hg.Builder.add_net b ~name:"n3" [ p; c ]);
   ignore (Hg.Builder.add_net b ~name:"n4" [ a; c ]);
-  (Csr.of_hgraph (Hg.Builder.freeze b), (a, bb, c, p))
+  ignore (Hg.Builder.add_net b ~name:"n5" [ p ]);
+  (Hg.Builder.freeze b, (a, bb, c, p))
+
+(* The contraction's net rule, spelled out: the fine nets with >= 2
+   distinct coarse endpoints or a pad, in fine order, each as its name
+   and sorted distinct endpoints. *)
+let expected_nets h map =
+  Hg.fold_nets
+    (fun acc e ->
+      let ends =
+        List.sort_uniq compare (Array.to_list (Array.map (fun v -> map.(v)) (Hg.pins h e)))
+      in
+      if List.length ends >= 2 || Hg.net_has_pad h e then (Hg.net_name h e, ends) :: acc
+      else acc)
+    [] h
+  |> List.rev
+
+let nets_of coarse =
+  List.init (Hg.num_nets coarse) (fun e ->
+      (Hg.net_name coarse e, Array.to_list (Hg.pins coarse e)))
 
 let test_contract_tiny () =
-  let csr, (a, bb, c, p) = tiny () in
+  let h, (a, bb, c, p) = tiny () in
   (* a,b -> 0; c -> 1; p -> 2 *)
   let map = Array.make 4 0 in
   map.(a) <- 0; map.(bb) <- 0; map.(c) <- 1; map.(p) <- 2;
-  let coarse, m = Csr.contract csr ~map ~coarse_nodes:3 in
-  Alcotest.(check bool) "validates" true (Csr.validate coarse = Ok ());
-  Alcotest.(check int) "nodes" 3 (Csr.num_nodes coarse);
+  let coarse = Hg.contract h ~map ~coarse_nodes:3 in
+  Alcotest.(check bool) "validates" true (Hg.validate coarse = Ok ());
+  Alcotest.(check int) "nodes" 3 (Hg.num_nodes coarse);
   (* n2 = {a,b} has one coarse endpoint and no pad: dropped.
-     n1 -> {0,1}, n3 -> {2,1} (pad net kept), n4 -> {0,1}. *)
-  Alcotest.(check int) "nets" 3 (Csr.num_nets coarse);
-  Alcotest.(check (array int)) "sizes" [| 3; 3; 0 |] coarse.Csr.size;
-  Alcotest.(check (array int)) "flops" [| 1; 0; 0 |] coarse.Csr.flops;
-  Alcotest.(check int) "pads" 1 (Csr.num_pads coarse);
-  (* every kept net's coarse pins = dedup of mapped fine pins *)
-  Array.iteri
-    (fun ce fe ->
-      let want =
-        List.sort_uniq compare
-          (Array.to_list (Array.map (fun v -> map.(v)) (Csr.net_pins csr fe)))
-      in
-      let got = List.sort compare (Array.to_list (Csr.net_pins coarse ce)) in
-      Alcotest.(check (list int)) "kept pins" want got)
-    m.Csr.kept_nets;
-  (* exact inverse projection *)
-  let fine = Csr.project m [| 5; 7; 9 |] in
-  Alcotest.(check (array int)) "project" [| 5; 5; 7; 9 |] fine
+     n1 -> {0,1}, n3 -> {1,2}, n4 -> {0,1}; n5 -> {2} has one
+     endpoint but touches a pad, so it is kept. *)
+  Alcotest.(check (list (pair string (list int))))
+    "kept nets"
+    [ ("n1", [ 0; 1 ]); ("n3", [ 1; 2 ]); ("n4", [ 0; 1 ]); ("n5", [ 2 ]) ]
+    (nets_of coarse);
+  Alcotest.(check (array int)) "sizes" [| 3; 3; 0 |] (Array.init 3 (Hg.size coarse));
+  Alcotest.(check (array int)) "flops" [| 1; 0; 0 |] (Array.init 3 (Hg.flops coarse));
+  Alcotest.(check int) "pads" 1 (Hg.num_pads coarse);
+  Alcotest.(check bool) "pad kept" true (Hg.is_pad coarse 2)
+
+let test_contract_names () =
+  let h, (a, bb, c, p) = tiny () in
+  (* b,c -> 0 (named after b, the lower id); a -> 1; p -> 2 *)
+  let map = Array.make 4 0 in
+  map.(a) <- 1; map.(bb) <- 0; map.(c) <- 0; map.(p) <- 2;
+  let coarse = Hg.contract h ~map ~coarse_nodes:3 in
+  Alcotest.(check (list string)) "node names" [ "b"; "a"; "p" ]
+    (List.init 3 (Hg.name coarse));
+  Alcotest.(check (list (pair string (list int))))
+    "kept nets" (expected_nets h map) (nets_of coarse);
+  (* an identity map reproduces the graph *)
+  let id = Hg.contract h ~map:(Array.init 4 Fun.id) ~coarse_nodes:4 in
+  Alcotest.(check string) "identity digest" (Hg.digest h) (Hg.digest id)
 
 let test_contract_rejects () =
-  let csr, (a, bb, c, p) = tiny () in
+  let h, (a, bb, c, p) = tiny () in
   let expect_invalid name map nc =
-    match Csr.contract csr ~map ~coarse_nodes:nc with
+    match Hg.contract h ~map ~coarse_nodes:nc with
     | _ -> Alcotest.failf "%s: accepted" name
     | exception Invalid_argument _ -> ()
   in
@@ -154,7 +147,8 @@ let test_contract_rejects () =
   (* out of range *)
   let map = Array.make 4 0 in
   map.(a) <- 0; map.(bb) <- 5; map.(c) <- 1; map.(p) <- 2;
-  expect_invalid "out of range" map 3
+  expect_invalid "out of range" map 3;
+  expect_invalid "wrong length" [| 0; 1; 2 |] 3
 
 (* --- Matching ------------------------------------------------------ *)
 
@@ -165,58 +159,50 @@ let groups_of map nc =
 
 let test_matching_pairs () =
   let h = circuit 21 in
-  let csr = Csr.of_hgraph h in
-  let map, nc = Matching.compute ~policy:Matching.Pairs ~max_weight:8 ~seed:3 csr in
-  Alcotest.(check bool) "shrinks" true (nc < Csr.num_nodes csr);
+  let map, nc = Matching.compute ~policy:Matching.Pairs ~max_weight:8 ~seed:3 h in
+  Alcotest.(check bool) "shrinks" true (nc < Hg.num_nodes h);
   Array.iter
     (fun members ->
       match members with
       | [] -> Alcotest.fail "empty group"
       | [ _ ] -> ()
       | [ u; v ] ->
-        if Csr.is_pad csr u || Csr.is_pad csr v then
-          Alcotest.fail "pad matched";
-        Alcotest.(check bool)
-          "weight cap" true
-          (csr.Csr.size.(u) + csr.Csr.size.(v) <= 8)
+        if Hg.is_pad h u || Hg.is_pad h v then Alcotest.fail "pad matched";
+        Alcotest.(check bool) "weight cap" true (Hg.size h u + Hg.size h v <= 8)
       | _ -> Alcotest.fail "group larger than a pair")
     (groups_of map nc)
 
 let test_matching_weight_cap () =
   let h = circuit 22 in
-  let csr = Csr.of_hgraph h in
   List.iter
     (fun policy ->
-      let map, nc = Matching.compute ~policy ~max_weight:3 ~seed:9 csr in
+      let map, nc = Matching.compute ~policy ~max_weight:3 ~seed:9 h in
       Array.iter
         (fun members ->
           match members with
           | [ _ ] -> ()
           | ms ->
-            let w = List.fold_left (fun s v -> s + csr.Csr.size.(v)) 0 ms in
+            let w = List.fold_left (fun s v -> s + Hg.size h v) 0 ms in
             Alcotest.(check bool) "cap" true (w <= 3))
         (groups_of map nc))
     [ Matching.Pairs; Matching.Agglomerate ]
 
 let test_matching_weight_one () =
   let h = circuit 23 in
-  let csr = Csr.of_hgraph h in
-  let _, nc = Matching.compute ~policy:Matching.Pairs ~max_weight:1 ~seed:1 csr in
-  Alcotest.(check int) "all singletons" (Csr.num_nodes csr) nc
+  let _, nc = Matching.compute ~policy:Matching.Pairs ~max_weight:1 ~seed:1 h in
+  Alcotest.(check int) "all singletons" (Hg.num_nodes h) nc
 
 let test_matching_deterministic () =
   let h = circuit 24 in
-  let csr = Csr.of_hgraph h in
-  let m1, n1 = Matching.compute ~policy:Matching.Agglomerate ~max_weight:6 ~seed:42 csr in
-  let m2, n2 = Matching.compute ~policy:Matching.Agglomerate ~max_weight:6 ~seed:42 csr in
+  let m1, n1 = Matching.compute ~policy:Matching.Agglomerate ~max_weight:6 ~seed:42 h in
+  let m2, n2 = Matching.compute ~policy:Matching.Agglomerate ~max_weight:6 ~seed:42 h in
   Alcotest.(check int) "same count" n1 n2;
   Alcotest.(check (array int)) "same map" m1 m2
 
 let test_matching_within () =
   let h = circuit 25 in
-  let csr = Csr.of_hgraph h in
-  let within = Array.init (Csr.num_nodes csr) (fun v -> v mod 3) in
-  let map, nc = Matching.compute ~policy:Matching.Pairs ~max_weight:8 ~within ~seed:5 csr in
+  let within = Array.init (Hg.num_nodes h) (fun v -> v mod 3) in
+  let map, nc = Matching.compute ~policy:Matching.Pairs ~max_weight:8 ~within ~seed:5 h in
   Array.iter
     (fun members ->
       match List.map (fun v -> within.(v)) members with
@@ -318,51 +304,35 @@ let test_rent_spec () =
 
 (* --- Properties ---------------------------------------------------- *)
 
-(* coarsen ∘ uncoarsen is exact: weights are conserved, every kept
-   net's coarse pins are the dedup of its mapped fine pins, and the
-   coarse aggregates of any partition equal the flat aggregates of its
-   projection. *)
+(* coarsen ∘ uncoarsen is exact: the coarse graph validates, weights
+   are conserved, the kept nets follow the contraction's net rule, and
+   the coarse aggregates of any partition equal the flat aggregates of
+   its projection. *)
 let prop_contract_exact =
   QCheck.Test.make ~count:12 ~name:"contraction is exact"
     QCheck.(pair (int_range 100 400) (int_range 0 1000))
     (fun (cells, seed) ->
       let hg = circuit ~cells ~pads:(max 4 (cells / 10)) seed in
-      let csr = Csr.of_hgraph hg in
       let map, nc =
-        Matching.compute ~policy:Matching.Pairs ~max_weight:8 ~seed csr
+        Matching.compute ~policy:Matching.Pairs ~max_weight:8 ~seed hg
       in
-      let coarse, m = Csr.contract csr ~map ~coarse_nodes:nc in
-      if Csr.validate coarse <> Ok () then false
-      else if Csr.total_size coarse <> Csr.total_size csr then false
-      else if Csr.num_pads coarse <> Csr.num_pads csr then false
-      else begin
-        let pins_ok = ref true in
-        Array.iteri
-          (fun ce fe ->
-            let want =
-              List.sort_uniq compare
-                (Array.to_list
-                   (Array.map (fun v -> map.(v)) (Csr.net_pins csr fe)))
-            in
-            let got =
-              List.sort compare (Array.to_list (Csr.net_pins coarse ce))
-            in
-            if want <> got then pins_ok := false)
-          m.Csr.kept_nets;
-        (* arbitrary 3-way coarse partition; aggregates must project *)
-        let k = 3 in
-        let coarse_assign = Array.init nc (fun c -> c mod k) in
-        let flat = Csr.project m coarse_assign in
-        let oc =
-          Oracle.recompute (Csr.to_hgraph coarse) ~k
-            ~assign:(fun c -> coarse_assign.(c))
-        in
-        let off = Oracle.recompute hg ~k ~assign:(fun v -> flat.(v)) in
-        !pins_ok && oc.Oracle.cut = off.Oracle.cut
-        && oc.Oracle.sizes = off.Oracle.sizes
-        && oc.Oracle.pins = off.Oracle.pins
-        && oc.Oracle.flops = off.Oracle.flops
-      end)
+      let coarse = Hg.contract hg ~map ~coarse_nodes:nc in
+      Hg.validate coarse = Ok ()
+      && Hg.total_size coarse = Hg.total_size hg
+      && Hg.total_flops coarse = Hg.total_flops hg
+      && Hg.num_pads coarse = Hg.num_pads hg
+      && nets_of coarse = expected_nets hg map
+      &&
+      (* arbitrary 3-way coarse partition; aggregates must project *)
+      let k = 3 in
+      let coarse_assign = Array.init nc (fun c -> c mod k) in
+      let flat = Array.map (fun c -> coarse_assign.(c)) map in
+      let oc = Oracle.recompute coarse ~k ~assign:(fun c -> coarse_assign.(c)) in
+      let off = Oracle.recompute hg ~k ~assign:(fun v -> flat.(v)) in
+      oc.Oracle.cut = off.Oracle.cut
+      && oc.Oracle.sizes = off.Oracle.sizes
+      && oc.Oracle.pins = off.Oracle.pins
+      && oc.Oracle.flops = off.Oracle.flops)
 
 let () =
   Alcotest.run "mlevel"
@@ -373,11 +343,11 @@ let () =
           Alcotest.test_case "subset" `Quick test_induce_subset;
           Alcotest.test_case "net restriction" `Quick test_induce_net_restriction;
         ] );
-      ( "csr",
+      ( "contract",
         [
-          Alcotest.test_case "roundtrip" `Quick test_csr_roundtrip;
-          Alcotest.test_case "contract tiny" `Quick test_contract_tiny;
-          Alcotest.test_case "contract rejects" `Quick test_contract_rejects;
+          Alcotest.test_case "tiny" `Quick test_contract_tiny;
+          Alcotest.test_case "names" `Quick test_contract_names;
+          Alcotest.test_case "rejects" `Quick test_contract_rejects;
         ] );
       ( "matching",
         [
