@@ -51,30 +51,57 @@ let sweep hg ~member ~s_max ~t_max seed =
   Hg.iter_nodes
     (fun u -> if State.block_of st u = rest then Bucket.insert bucket u (State.cut_gain st u grow))
     hg;
-  let trail = ref [] in
+  (* Per-move neighbour refresh by per-net deltas.  Every bucket cell
+     sits in [rest] and gains towards [grow], so a moved cell's net
+     shifts the gain of each of its bucketed pins by the same amount:
+     [cut_gain_net] after minus before.  Neighbours are listed at their
+     first (net, pin) incidence, whatever their net's delta, and
+     relinked in that order when their total is non-zero — the order
+     and the no-ops of recomputing each neighbour's gain at its first
+     incidence. *)
+  let delta = Array.make n 0 in
+  let seen = Array.make n (-1) in
+  let touched = Array.make n 0 in
+  let n_touched = ref 0 in
   let moves = ref 0 in
+  let on_net e ~ca ~cb ~span =
+    (* [ca] pins in [rest] (the source), [cb] in [grow], before the move *)
+    c12 := !c12 + Bool.to_int (ca - 1 > 0) - Bool.to_int (cb > 0 && ca > 0);
+    let span' = span - Bool.to_int (ca = 1) + Bool.to_int (cb = 0) in
+    let d =
+      State.cut_gain_net ~from_cnt:(ca - 1) ~to_cnt:(cb + 1) ~span:span'
+      - State.cut_gain_net ~from_cnt:ca ~to_cnt:cb ~span
+    in
+    let pins = Hg.pins hg e in
+    for i = 0 to Array.length pins - 1 do
+      let w = pins.(i) in
+      if Bucket.mem bucket w then begin
+        if seen.(w) <> !moves then begin
+          seen.(w) <- !moves;
+          touched.(!n_touched) <- w;
+          incr n_touched
+        end;
+        delta.(w) <- delta.(w) + d
+      end
+    done
+  in
+  let trail = ref [] in
   let best = ref None in
   while not (Bucket.is_empty bucket) do
     let u = Bucket.fold_top bucket ~limit:1 ~init:(-1) ~f:(fun _ c -> c) in
     Bucket.remove bucket u;
-    Array.iter
-      (fun e ->
-        let c1 = State.net_count st e grow and c2 = State.net_count st e rest in
-        let before = c1 > 0 && c2 > 0 in
-        let after = c2 - 1 > 0 in
-        (* c1 + 1 > 0 always *)
-        c12 := !c12 + Bool.to_int after - Bool.to_int before)
-      (Hg.nets_of hg u);
-    State.move st u grow;
+    n_touched := 0;
+    State.move st u grow ~on_net;
+    for i = 0 to !n_touched - 1 do
+      let w = touched.(i) in
+      let d = delta.(w) in
+      if d <> 0 then begin
+        delta.(w) <- 0;
+        Bucket.update bucket w (Bucket.gain_of bucket w + d)
+      end
+    done;
     trail := u :: !trail;
     incr moves;
-    Array.iter
-      (fun e ->
-        Array.iter
-          (fun w ->
-            if Bucket.mem bucket w then Bucket.update bucket w (State.cut_gain st w grow))
-          (Hg.pins hg e))
-      (Hg.nets_of hg u);
     let s1 = State.size_of st grow and s2 = State.size_of st rest in
     if s1 > 0 && s2 > 0 then begin
       let ratio = float_of_int !c12 /. (float_of_int s1 *. float_of_int s2) in

@@ -152,13 +152,23 @@ let fold_top t ~limit ~init ~f =
 let iter t f =
   Array.iteri (fun c p -> if p then f c) t.present
 
+(* Unlink by walking the lists rather than refilling the per-cell
+   arrays: every bucket above [top] is already empty, so this costs
+   O(gain range + cells present), not O(cells). *)
 let clear t =
   Obs.incr c_clears;
-  Array.fill t.head 0 (Array.length t.head) (-1);
-  Array.fill t.tail 0 (Array.length t.tail) (-1);
-  Array.fill t.present 0 (Array.length t.present) false;
-  Array.fill t.prev 0 (Array.length t.prev) (-1);
-  Array.fill t.next 0 (Array.length t.next) (-1);
+  for i = 0 to t.top do
+    let cell = ref t.head.(i) in
+    while !cell >= 0 do
+      let c = !cell in
+      cell := t.next.(c);
+      t.present.(c) <- false;
+      t.prev.(c) <- -1;
+      t.next.(c) <- -1
+    done;
+    t.head.(i) <- -1;
+    t.tail.(i) <- -1
+  done;
   t.count <- 0;
   t.top <- -1
 

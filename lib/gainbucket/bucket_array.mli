@@ -62,7 +62,7 @@ val fold_top : t -> limit:int -> init:'acc -> f:('acc -> int -> 'acc) -> 'acc
 (** [iter t f] applies [f] to every stored cell (arbitrary order). *)
 val iter : t -> (int -> unit) -> unit
 
-(** [clear t] removes all cells. *)
+(** [clear t] removes all cells, in O(gain range + cells present). *)
 val clear : t -> unit
 
 (** [check t] verifies list integrity (test-only, O(cells + gains)). *)

@@ -8,6 +8,7 @@ module Dirset = Gainbucket.Direction_set
 module Obs = Fpart_obs.Metrics
 module Recorder = Fpart_obs.Recorder
 module Json = Fpart_obs.Json
+module Vec = Hypergraph.Vec
 
 (* Engine workload counters (always on) and the gain distribution of
    the applied moves (recorded only while observability is enabled).
@@ -72,7 +73,20 @@ type report = {
   restarts : int;
 }
 
-(* Per-improve-call mutable context shared by all passes. *)
+(* The best move of one selection round, overwritten in place as the
+   scan finds better candidates ([cand_cell] = -1: none yet). *)
+type candidate = {
+  mutable cand_cell : int;
+  mutable cand_to : int;
+  mutable cand_gain : int;      (* primary gain (the bucket it came from) *)
+  mutable cand_bal : int;
+  cand_lookahead : int array;   (* gains at levels 2..gain_levels *)
+}
+
+(* Per-improve-call mutable context shared by all passes.  Everything
+   here is sized by the active blocks ([nb]) rather than by [State.k],
+   and everything a pass dirties is listed so the next pass resets only
+   that. *)
 type ctx = {
   st : State.t;
   hg : Hg.t;
@@ -81,10 +95,17 @@ type ctx = {
   eval : State.t -> Cost.value;
   nb : int;                     (* number of active blocks *)
   pos : int array;              (* global block -> active index, or -1 *)
-  cells : Dirset.t;             (* cells; nb*nb dirs, diagonal unused *)
+  members : int array;          (* nodes of the active blocks, ascending *)
+  cells : Dirset.t;             (* cells; nb*(nb-1) dense directions *)
   pads : Dirset.t;              (* pads: size-neutral, never window-gated *)
-  locked : bool array;          (* per node, reset each pass *)
-  locked_cnt : int array array; (* net -> per-(global)-block locked pins *)
+  locked : bool array;          (* per node *)
+  locked_cnt : int array;       (* net * nb + active index -> locked pins *)
+  (* The cells moved (hence locked) since the last [fill_buckets], in
+     move order, with their source blocks: the pass trail that the
+     rewind walks back and the next fill unlocks. *)
+  moved_cell : int array;
+  moved_from : int array;
+  mutable n_moved : int;
   (* Scratch of the delta-gain engine, reused across moves.  The
      [d_*] arrays buffer the changed-nets summary reported by
      [State.move ~on_net]; [touched]/[touch_stamp] record affected
@@ -100,6 +121,14 @@ type ctx = {
   touch_stamp : int array;
   mutable stamp : int;
   delta : int array;            (* cell * nb + target index *)
+  (* Selection scratch: one bucket's scanned prefix in head-first
+     order, the lookahead gains of the cell being scored, the best
+     candidate, and the cells popped as illegal during this selection as
+     (direction, cell, gain) triples. *)
+  scan : int array;
+  lookahead : int array;
+  best : candidate;
+  stash : int Vec.t;
   (* Telemetry position: which execution of this improve call is
      running, and which pass within it (1-based; see the [pass]
      records in docs/OBSERVABILITY.md). *)
@@ -107,7 +136,16 @@ type ctx = {
   mutable tel_pass : int;
 }
 
-let dir_index ctx ai bi = (ai * ctx.nb) + bi
+(* Directions are numbered densely in ascending (source, target) order
+   of active indices, skipping the diagonal, so ascending direction ids
+   keep the historical scan and merge order. *)
+let dir_index ctx ai bi = (ai * (ctx.nb - 1)) + if bi < ai then bi else bi - 1
+
+let dir_source ctx dir = dir / (ctx.nb - 1)
+
+let dir_target ctx dir =
+  let ai = dir / (ctx.nb - 1) and r = dir mod (ctx.nb - 1) in
+  if r < ai then r else r + 1
 
 let make_ctx st spec cfg eval =
   let hg = State.hypergraph st in
@@ -124,10 +162,28 @@ let make_ctx st spec cfg eval =
   if Array.length spec.lower < k || Array.length spec.upper < k then
     invalid_arg "Sanchis.improve: lower/upper must cover all blocks";
   let n = Hg.num_nodes hg in
+  let members =
+    let count = ref 0 in
+    for i = 0 to nb - 1 do
+      count := !count + State.cells_of st spec.active.(i)
+    done;
+    let a = Array.make !count 0 in
+    let j = ref 0 in
+    for v = 0 to n - 1 do
+      if pos.(State.block_of st v) >= 0 then begin
+        a.(!j) <- v;
+        incr j
+      end
+    done;
+    a
+  in
+  let n_members = max (Array.length members) 1 in
   let max_deg = max 1 (Hg.max_node_degree hg) in
   let max_gain =
     match cfg.gain_mode with Cut_gain -> max_deg | Pin_gain -> 2 * max_deg
   in
+  let directions = nb * (nb - 1) in
+  let levels = max 0 (cfg.gain_levels - 1) in
   {
     st;
     hg;
@@ -136,24 +192,39 @@ let make_ctx st spec cfg eval =
     eval;
     nb;
     pos;
+    members;
     cells =
-      Dirset.create ~discipline:cfg.bucket_discipline ~directions:(nb * nb)
-        ~cells:n ~max_gain ();
+      Dirset.create ~discipline:cfg.bucket_discipline ~directions ~cells:n
+        ~max_gain ();
     pads =
-      Dirset.create ~discipline:cfg.bucket_discipline ~directions:(nb * nb)
-        ~cells:n ~max_gain ();
+      Dirset.create ~discipline:cfg.bucket_discipline ~directions ~cells:n
+        ~max_gain ();
     locked = Array.make n false;
-    locked_cnt = Array.init (Hg.num_nets hg) (fun _ -> Array.make k 0);
+    locked_cnt = Array.make (Hg.num_nets hg * nb) 0;
+    moved_cell = Array.make n_members 0;
+    moved_from = Array.make n_members 0;
+    n_moved = 0;
     d_nets = Array.make max_deg 0;
     d_ca = Array.make max_deg 0;
     d_cb = Array.make max_deg 0;
     d_span = Array.make max_deg 0;
     d_len = 0;
-    touched = Array.make (max n 1) 0;
+    touched = Array.make n_members 0;
     touched_len = 0;
     touch_stamp = Array.make (max n 1) 0;
     stamp = 0;
     delta = Array.make (max (n * nb) 1) 0;
+    scan = Array.make (max cfg.scan_limit 1) 0;
+    lookahead = Array.make levels 0;
+    best =
+      {
+        cand_cell = -1;
+        cand_to = -1;
+        cand_gain = 0;
+        cand_bal = 0;
+        cand_lookahead = Array.make levels 0;
+      };
+    stash = Vec.create ();
     tel_execution = 0;
     tel_pass = 0;
   }
@@ -207,17 +278,20 @@ let cell_legal ctx v b =
    source-side moves, negative when the move cements a net the other
    side could still have freed), restricted to nets inside a∪b. *)
 let level_gain ctx v ~a ~b ~level =
-  Array.fold_left
-    (fun acc e ->
-      let d = Hg.net_degree ctx.hg e in
-      let ca = State.net_count ctx.st e a and cb = State.net_count ctx.st e b in
-      if ca + cb <> d then acc
-      else begin
-        let la = ctx.locked_cnt.(e).(a) and lb = ctx.locked_cnt.(e).(b) in
-        let acc = if la = 0 && ca = level then acc + 1 else acc in
-        if lb = 0 && cb = level - 1 then acc - 1 else acc
-      end)
-    0 (Hg.nets_of ctx.hg v)
+  let nb = ctx.nb in
+  let ia = ctx.pos.(a) and ib = ctx.pos.(b) in
+  let nets = Hg.nets_of ctx.hg v in
+  let acc = ref 0 in
+  for i = 0 to Array.length nets - 1 do
+    let e = nets.(i) in
+    let ca = State.net_count ctx.st e a and cb = State.net_count ctx.st e b in
+    if ca + cb = Hg.net_degree ctx.hg e then begin
+      let base = e * nb in
+      if ctx.locked_cnt.(base + ia) = 0 && ca = level then incr acc;
+      if ctx.locked_cnt.(base + ib) = 0 && cb = level - 1 then decr acc
+    end
+  done;
+  !acc
 
 let set_for ctx v = if Hg.is_pad ctx.hg v then ctx.pads else ctx.cells
 
@@ -228,36 +302,48 @@ let primary_gain ctx v b =
   | Cut_gain -> State.cut_gain ctx.st v b
   | Pin_gain -> State.pin_gain ctx.st v b
 
+(* One net's contribution to the primary gain (the arithmetic
+   [primary_gain] folds over a mover's nets). *)
+let net_gain ctx ~pad ~from_cnt ~to_cnt ~span =
+  match ctx.cfg.gain_mode with
+  | Cut_gain -> State.cut_gain_net ~from_cnt ~to_cnt ~span
+  | Pin_gain -> State.pin_gain_net ~pad ~from_cnt ~to_cnt ~span
+
 let insert_cell ctx v =
-  let a = State.block_of ctx.st v in
-  let ai = ctx.pos.(a) in
+  let ai = ctx.pos.(State.block_of ctx.st v) in
   let set = set_for ctx v in
-  Array.iteri
-    (fun bi b ->
-      if b <> a then
-        Dirset.insert set ~dir:(dir_index ctx ai bi) v (primary_gain ctx v b))
-    ctx.spec.active
+  for bi = 0 to ctx.nb - 1 do
+    if bi <> ai then
+      Dirset.insert set ~dir:(dir_index ctx ai bi) v
+        (primary_gain ctx v ctx.spec.active.(bi))
+  done
 
 let remove_cell ctx v =
-  let a = State.block_of ctx.st v in
-  let ai = ctx.pos.(a) in
+  let ai = ctx.pos.(State.block_of ctx.st v) in
   let set = set_for ctx v in
   for bi = 0 to ctx.nb - 1 do
     if bi <> ai then Dirset.remove set ~dir:(dir_index ctx ai bi) v
   done
 
 let update_cell ctx v =
-  let a = State.block_of ctx.st v in
-  let ai = ctx.pos.(a) in
+  let ai = ctx.pos.(State.block_of ctx.st v) in
   let set = set_for ctx v in
-  Array.iteri
-    (fun bi b ->
-      if b <> a then begin
-        let dir = dir_index ctx ai bi in
-        if Dirset.mem set ~dir v then
-          Dirset.update set ~dir v (primary_gain ctx v b)
-      end)
-    ctx.spec.active
+  for bi = 0 to ctx.nb - 1 do
+    if bi <> ai then begin
+      let dir = dir_index ctx ai bi in
+      if Dirset.mem set ~dir v then
+        Dirset.update set ~dir v (primary_gain ctx v ctx.spec.active.(bi))
+    end
+  done
+
+(* Add net [e]'s change of [u]'s gain towards active index [yi] — its
+   source count going [fx_old → fx_new], its target count
+   [ty_old → ty_new], the span [span → span'] — to [u]'s delta. *)
+let accum ctx ~pad ~span ~span' ~base yi ~fx_old ~fx_new ~ty_old ~ty_new =
+  let g_old = net_gain ctx ~pad ~from_cnt:fx_old ~to_cnt:ty_old ~span in
+  let g_new = net_gain ctx ~pad ~from_cnt:fx_new ~to_cnt:ty_new ~span:span' in
+  if g_new <> g_old then
+    ctx.delta.(base + yi) <- ctx.delta.(base + yi) + g_new - g_old
 
 (* {2 Delta-gain neighbour update}
 
@@ -279,6 +365,7 @@ let update_cell ctx v =
 let apply_deltas ctx ~v ~a ~b =
   let st = ctx.st in
   let nb = ctx.nb in
+  let cut_mode = match ctx.cfg.gain_mode with Cut_gain -> true | Pin_gain -> false in
   ctx.stamp <- ctx.stamp + 1;
   ctx.touched_len <- 0;
   for i = 0 to ctx.d_len - 1 do
@@ -292,23 +379,21 @@ let apply_deltas ctx ~v ~a ~b =
        states, so the arithmetic is skipped — but its pins are still
        marked, because first-incidence ordering is what keeps the
        bucket layout identical to the recompute path. *)
-    let quiet =
-      match ctx.cfg.gain_mode with
-      | Cut_gain -> span >= 3 && span' >= 3
-      | Pin_gain -> false
-    in
+    let quiet = cut_mode && span >= 3 && span' >= 3 in
     let pad = Hg.net_has_pad ctx.hg e in
-    Array.iter
-      (fun u ->
-        if u <> v && (not ctx.locked.(u)) && ctx.pos.(State.block_of st u) >= 0
-        then begin
+    let pins = Hg.pins ctx.hg e in
+    for p = 0 to Array.length pins - 1 do
+      let u = pins.(p) in
+      if u <> v && not ctx.locked.(u) then begin
+        let x = State.block_of st u in
+        let xi = ctx.pos.(x) in
+        if xi >= 0 then begin
           if ctx.touch_stamp.(u) <> ctx.stamp then begin
             ctx.touch_stamp.(u) <- ctx.stamp;
             ctx.touched.(ctx.touched_len) <- u;
             ctx.touched_len <- ctx.touched_len + 1
           end;
           if not quiet then begin
-            let x = State.block_of st u in
             (* counts of blocks other than a/b are untouched by the
                move, so the post-move state still holds their old
                values *)
@@ -321,28 +406,12 @@ let apply_deltas ctx ~v ~a ~b =
               if x = a then ca - 1 else if x = b then cb + 1 else fx_old
             in
             let base = u * nb in
-            let accum yi ty_old ty_new =
-              let g_old, g_new =
-                match ctx.cfg.gain_mode with
-                | Cut_gain ->
-                  ( State.cut_gain_net ~from_cnt:fx_old ~to_cnt:ty_old ~span,
-                    State.cut_gain_net ~from_cnt:fx_new ~to_cnt:ty_new
-                      ~span:span' )
-                | Pin_gain ->
-                  ( State.pin_gain_net ~pad ~from_cnt:fx_old ~to_cnt:ty_old
-                      ~span,
-                    State.pin_gain_net ~pad ~from_cnt:fx_new ~to_cnt:ty_new
-                      ~span:span' )
-              in
-              if g_new <> g_old then
-                ctx.delta.(base + yi) <- ctx.delta.(base + yi) + g_new - g_old
-            in
             if span' <> span || x = a || x = b then
               (* the source count or the span changed: every direction
                  of [u] can shift *)
               for yi = 0 to nb - 1 do
-                let y = ctx.spec.active.(yi) in
-                if y <> x then begin
+                if yi <> xi then begin
+                  let y = ctx.spec.active.(yi) in
                   let ty_old =
                     if y = a then ca
                     else if y = b then cb
@@ -353,25 +422,28 @@ let apply_deltas ctx ~v ~a ~b =
                     else if y = b then cb + 1
                     else ty_old
                   in
-                  accum yi ty_old ty_new
+                  accum ctx ~pad ~span ~span' ~base yi ~fx_old ~fx_new ~ty_old
+                    ~ty_new
                 end
               done
             else begin
               (* critical-net fast path: with the span and [u]'s own
                  count untouched, only the targets whose counts moved —
                  [a] and [b] — can change [u]'s gains *)
-              accum ctx.pos.(a) ca (ca - 1);
-              accum ctx.pos.(b) cb (cb + 1)
+              accum ctx ~pad ~span ~span' ~base ctx.pos.(a) ~fx_old ~fx_new
+                ~ty_old:ca ~ty_new:(ca - 1);
+              accum ctx ~pad ~span ~span' ~base ctx.pos.(b) ~fx_old ~fx_new
+                ~ty_old:cb ~ty_new:(cb + 1)
             end
           end
-        end)
-      (Hg.pins ctx.hg e)
+        end
+      end
+    done
   done;
   let avoided = ref 0 and updates = ref 0 in
   for ti = 0 to ctx.touched_len - 1 do
     let u = ctx.touched.(ti) in
-    let x = State.block_of st u in
-    let xi = ctx.pos.(x) in
+    let xi = ctx.pos.(State.block_of st u) in
     let set = set_for ctx u in
     let base = u * nb in
     for yi = 0 to nb - 1 do
@@ -396,122 +468,124 @@ let apply_deltas ctx ~v ~a ~b =
   Obs.add c_delta_avoided !avoided;
   Obs.add c_delta_updates !updates
 
-(* Candidate chosen at one selection round. *)
-type candidate = {
-  cand_cell : int;
-  cand_to : int;
-  cand_gain : int;            (* primary gain (the bucket it came from) *)
-  cand_lookahead : int list;  (* gains at levels 2..gain_levels *)
-  cand_bal : int;
-}
+(* Lexicographic comparison of two lookahead vectors (equal length by
+   construction). *)
+let compare_lookahead x y =
+  let c = ref 0 and i = ref 0 in
+  while !c = 0 && !i < Array.length x do
+    c := Int.compare x.(!i) y.(!i);
+    incr i
+  done;
+  !c
 
-let better_candidate ~salt c1 c2 =
-  (* g1 equal by construction; compare (lookahead vector desc, balance
-     desc, salted id asc — the salt lets multi-start runs break ties
-     differently) *)
-  match c2 with
-  | None -> true
-  | Some c2 ->
-    if c1.cand_lookahead <> c2.cand_lookahead then
-      compare c1.cand_lookahead c2.cand_lookahead > 0
-    else if c1.cand_bal <> c2.cand_bal then c1.cand_bal > c2.cand_bal
-    else c1.cand_cell lxor salt < c2.cand_cell lxor salt
-
-(* Select the next move.  The direction sets' top indices give the
-   globally best gain and the tied directions in O(tied) — no nb²
-   rescan per round.  Directions are visited in ascending (a-index,
-   b-index) order with a direction's cell bucket before its pad bucket,
-   replicating the historical nested scan.  Cells failing the exact
-   size test are popped into a stash (reinserted by the caller after
-   the move). *)
-let select ctx stash =
-  let rec attempt () =
-    let cg = Dirset.best_gain ctx.cells and pg = Dirset.best_gain ctx.pads in
-    match (cg, pg) with
-    | None, None -> None
-    | _ ->
-      let best_gain =
-        match (cg, pg) with
-        | Some a, Some b -> max a b
-        | Some g, None | None, Some g -> g
-        | None, None -> assert false
-      in
-      let cell_dirs =
-        if cg = Some best_gain then Dirset.best_dirs ctx.cells else []
-      in
-      let pad_dirs =
-        if pg = Some best_gain then Dirset.best_dirs ctx.pads else []
-      in
-      let best = ref None in
-      let stashed_this_round = ref false in
-      let scan_bucket ~gate_cells dir =
-        let ai = dir / ctx.nb and bi = dir mod ctx.nb in
-        let a = ctx.spec.active.(ai) and b = ctx.spec.active.(bi) in
-        let set = if gate_cells then ctx.cells else ctx.pads in
-        let scanned =
-          Bucket.fold_top (Dirset.bucket set dir) ~limit:ctx.cfg.scan_limit
-            ~init:[] ~f:(fun acc c -> c :: acc)
-        in
-        let any_legal = ref false in
-        List.iter
-          (fun v ->
-            if cell_legal ctx v b then begin
-              any_legal := true;
-              let lookahead =
-                List.init
-                  (max 0 (ctx.cfg.gain_levels - 1))
-                  (fun i -> level_gain ctx v ~a ~b ~level:(i + 2))
-              in
-              let bal = State.size_of ctx.st a - State.size_of ctx.st b in
-              let c =
-                {
-                  cand_cell = v;
-                  cand_to = b;
-                  cand_gain = best_gain;
-                  cand_lookahead = lookahead;
-                  cand_bal = bal;
-                }
-              in
-              if better_candidate ~salt:ctx.cfg.tie_salt c !best then
-                best := Some c
-            end)
-          scanned;
-        if gate_cells && not !any_legal then begin
-          (* whole scanned prefix illegal: pop it so deeper or
-             other-gain cells surface next round *)
-          List.iter
-            (fun v ->
-              Dirset.remove set ~dir v;
-              stash := (dir, v, best_gain) :: !stash)
-            scanned;
-          stashed_this_round := true
-        end
-      in
-      let rec merge cds pds =
-        match (cds, pds) with
-        | [], [] -> ()
-        | c :: ct, [] ->
-          scan_bucket ~gate_cells:true c;
-          merge ct []
-        | [], p :: pt ->
-          scan_bucket ~gate_cells:false p;
-          merge [] pt
-        | c :: ct, p :: pt ->
-          if c <= p then begin
-            scan_bucket ~gate_cells:true c;
-            merge ct pds
-          end
-          else begin
-            scan_bucket ~gate_cells:false p;
-            merge cds pt
-          end
-      in
-      merge cell_dirs pad_dirs;
-      (match !best with
-      | Some c -> Some c
-      | None -> if !stashed_this_round then attempt () else None)
+(* Score [v] for the move [a] -> [b] and keep it if it beats the round's
+   best: primary gain equal by construction, then the lookahead vector
+   desc, balance desc, salted id asc (the salt lets multi-start runs
+   break ties differently). *)
+let consider ctx v ~a ~b ~gain =
+  let la = ctx.lookahead in
+  for i = 0 to Array.length la - 1 do
+    la.(i) <- level_gain ctx v ~a ~b ~level:(i + 2)
+  done;
+  let bal = State.size_of ctx.st a - State.size_of ctx.st b in
+  let best = ctx.best in
+  let better =
+    best.cand_cell < 0
+    ||
+    let c = compare_lookahead la best.cand_lookahead in
+    if c <> 0 then c > 0
+    else if bal <> best.cand_bal then bal > best.cand_bal
+    else v lxor ctx.cfg.tie_salt < best.cand_cell lxor ctx.cfg.tie_salt
   in
-  attempt ()
+  if better then begin
+    best.cand_cell <- v;
+    best.cand_to <- b;
+    best.cand_gain <- gain;
+    best.cand_bal <- bal;
+    Array.blit la 0 best.cand_lookahead 0 (Array.length la)
+  end
+
+(* Scan the top prefix of one direction's bucket at gain [gain].  The
+   prefix is scored from its last scanned cell back to the head (the
+   historical order).  When [gate_cells] and no scanned cell is legal,
+   the whole prefix is popped into the stash so deeper or other-gain
+   cells surface next round; returns whether that happened. *)
+let scan_bucket ctx ~gate_cells ~gain dir =
+  let a = ctx.spec.active.(dir_source ctx dir)
+  and b = ctx.spec.active.(dir_target ctx dir) in
+  let set = if gate_cells then ctx.cells else ctx.pads in
+  let n =
+    Bucket.fold_top (Dirset.bucket set dir) ~limit:ctx.cfg.scan_limit ~init:0
+      ~f:(fun i c ->
+        ctx.scan.(i) <- c;
+        i + 1)
+  in
+  let any_legal = ref false in
+  for i = n - 1 downto 0 do
+    let v = ctx.scan.(i) in
+    if cell_legal ctx v b then begin
+      any_legal := true;
+      consider ctx v ~a ~b ~gain
+    end
+  done;
+  if gate_cells && not !any_legal then begin
+    for i = n - 1 downto 0 do
+      let v = ctx.scan.(i) in
+      Dirset.remove set ~dir v;
+      Vec.push ctx.stash dir;
+      Vec.push ctx.stash v;
+      Vec.push ctx.stash gain
+    done;
+    true
+  end
+  else false
+
+(* Visit the tied cell and pad directions in ascending direction order,
+   a direction's cell bucket before its pad bucket. *)
+let rec scan_tied ctx ~gain cds pds stashed =
+  match (cds, pds) with
+  | [], [] -> stashed
+  | c :: ct, [] ->
+    let s = scan_bucket ctx ~gate_cells:true ~gain c in
+    scan_tied ctx ~gain ct [] (stashed || s)
+  | [], p :: pt ->
+    let s = scan_bucket ctx ~gate_cells:false ~gain p in
+    scan_tied ctx ~gain [] pt (stashed || s)
+  | c :: ct, p :: pt ->
+    if c <= p then begin
+      let s = scan_bucket ctx ~gate_cells:true ~gain c in
+      scan_tied ctx ~gain ct pds (stashed || s)
+    end
+    else begin
+      let s = scan_bucket ctx ~gate_cells:false ~gain p in
+      scan_tied ctx ~gain cds pt (stashed || s)
+    end
+
+(* The directions of [set] whose top gain [top] equals the round's best. *)
+let tied_dirs set top ~gain =
+  match top with Some g when g = gain -> Dirset.best_dirs set | Some _ | None -> []
+
+(* Select the next move into [ctx.best]; [false] when there is none.
+   The direction sets' top indices give the globally best gain and the
+   tied directions in O(tied) — no nb² rescan per round.  Cells failing
+   the exact size test are popped into the stash (reinserted by the
+   caller after the move). *)
+let rec select ctx =
+  let cg = Dirset.best_gain ctx.cells and pg = Dirset.best_gain ctx.pads in
+  match (cg, pg) with
+  | None, None -> false
+  | _ ->
+    let gain =
+      match (cg, pg) with
+      | Some a, Some b -> max a b
+      | Some g, None | None, Some g -> g
+      | None, None -> assert false
+    in
+    let cell_dirs = tied_dirs ctx.cells cg ~gain
+    and pad_dirs = tied_dirs ctx.pads pg ~gain in
+    ctx.best.cand_cell <- -1;
+    let stashed = scan_tied ctx ~gain cell_dirs pad_dirs false in
+    ctx.best.cand_cell >= 0 || (stashed && select ctx)
 
 (* Offered to the solution stacks at improvement points of the first
    execution (section 3.6): semi-feasible solutions in one stack,
@@ -521,23 +595,30 @@ let offer_to_stacks ~k ~semi ~infeasible snap =
   if f >= k - 1 then ignore (Stack.offer semi snap)
   else ignore (Stack.offer infeasible snap)
 
-(* Pass-start bucket build: every active node inserted with fresh gains
-   in every direction, locks and lock counts cleared. *)
+(* Pass-start bucket build: unlock the cells the previous pass moved
+   and zero their nets' lock counts (nothing else was dirtied), empty
+   the buckets, and insert every active node with fresh gains in every
+   direction. *)
 let fill_buckets ctx =
-  let st = ctx.st in
-  Array.fill ctx.locked 0 (Array.length ctx.locked) false;
-  Array.iter (fun cnt -> Array.fill cnt 0 (Array.length cnt) 0) ctx.locked_cnt;
+  let nb = ctx.nb in
+  for i = 0 to ctx.n_moved - 1 do
+    let v = ctx.moved_cell.(i) in
+    ctx.locked.(v) <- false;
+    let nets = Hg.nets_of ctx.hg v in
+    for j = 0 to Array.length nets - 1 do
+      Array.fill ctx.locked_cnt (nets.(j) * nb) nb 0
+    done
+  done;
+  ctx.n_moved <- 0;
   Dirset.clear ctx.cells;
   Dirset.clear ctx.pads;
-  Hg.iter_nodes
-    (fun v -> if ctx.pos.(State.block_of st v) >= 0 then insert_cell ctx v)
-    ctx.hg;
+  Array.iter (insert_cell ctx) ctx.members;
   refresh_all_directions ctx
 
 (* Apply the move [v] -> [b]: pop [v] from its buckets, update the
    state (buffering the changed-nets summary when the delta engine is
-   on), lock, and retire any directions the size change closed.
-   Returns the source block. *)
+   on), lock and record it, and retire any directions the size change
+   closed.  Returns the source block. *)
 let apply_move ctx v b =
   let st = ctx.st in
   let a = State.block_of st v in
@@ -554,9 +635,15 @@ let apply_move ctx v b =
         ctx.d_span.(i) <- span;
         ctx.d_len <- i + 1));
   ctx.locked.(v) <- true;
-  Array.iter
-    (fun e -> ctx.locked_cnt.(e).(b) <- ctx.locked_cnt.(e).(b) + 1)
-    (Hg.nets_of ctx.hg v);
+  ctx.moved_cell.(ctx.n_moved) <- v;
+  ctx.moved_from.(ctx.n_moved) <- a;
+  ctx.n_moved <- ctx.n_moved + 1;
+  let ib = ctx.pos.(b) in
+  let nets = Hg.nets_of ctx.hg v in
+  for i = 0 to Array.length nets - 1 do
+    let j = (nets.(i) * ctx.nb) + ib in
+    ctx.locked_cnt.(j) <- ctx.locked_cnt.(j) + 1
+  done;
   refresh_directions_of ctx a b;
   a
 
@@ -579,6 +666,18 @@ let refresh_neighbours ctx ~v ~a ~b =
           (Hg.pins ctx.hg e))
       (Hg.nets_of ctx.hg v)
 
+(* Put the cells popped as illegal back into their buckets: sizes
+   changed, they may be legal now.  Newest stash entries first, the
+   historical order.  The chosen cell can itself sit in the stash
+   (stashed from one direction, selected from another): locked cells
+   must never come back or they would be moved again. *)
+let reinsert_stash ctx =
+  for i = (Vec.length ctx.stash / 3) - 1 downto 0 do
+    let dir = Vec.get ctx.stash (3 * i) and c = Vec.get ctx.stash ((3 * i) + 1) in
+    if (not ctx.locked.(c)) && not (Dirset.mem ctx.cells ~dir c) then
+      Dirset.insert ctx.cells ~dir c (Vec.get ctx.stash ((3 * i) + 2))
+  done
+
 (* One pass.  Returns [(best_value, retained_moves, applied_moves)];
    [ctx.st] ends at the best prefix.  When [collect] is set,
    improvement points are offered to the stacks. *)
@@ -593,66 +692,50 @@ let run_pass ctx ~collect ~semi ~infeasible =
   let best_value = ref (ctx.eval st) in
   let value_before = !best_value in
   let best_prefix = ref 0 in
-  let n_moves = ref 0 in
   let gain_sum = ref 0 in
   let rev_curve = ref [] in
-  let trail = ref [] in
-  let stash = ref [] in
   let continue = ref true in
   let drifted () =
     match ctx.cfg.drift_limit with
     | None -> false
-    | Some limit -> !n_moves - !best_prefix > limit
+    | Some limit -> ctx.n_moved - !best_prefix > limit
   in
   while !continue do
     if drifted () then continue := false
     else begin
-    stash := [];
-    match select ctx stash with
-    | None -> continue := false
-    | Some { cand_cell = v; cand_to = b; cand_gain; _ } ->
-      Obs.incr c_moves;
-      Obs.observe h_move_gain (float_of_int cand_gain);
-      if telemetry then begin
-        gain_sum := !gain_sum + cand_gain;
-        rev_curve := !gain_sum :: !rev_curve
-      end;
-      let a = apply_move ctx v b in
-      trail := (v, a) :: !trail;
-      incr n_moves;
-      (* Reinsert stashed cells: sizes changed, they may be legal now.
-         The chosen cell [v] can itself sit in the stash (stashed from
-         one direction, selected from another): locked cells must never
-         come back or they would be moved again.  Reinsertion happens
-         before the neighbour update so every unlocked active cell is
-         back in its buckets when the gains are adjusted. *)
-      List.iter
-        (fun (dir, c, g) ->
-          if (not ctx.locked.(c)) && not (Dirset.mem ctx.cells ~dir c) then
-            Dirset.insert ctx.cells ~dir c g)
-        !stash;
-      refresh_neighbours ctx ~v ~a ~b;
-      (match ctx.cfg.on_move with None -> () | Some f -> f st);
-      let value = ctx.eval st in
-      if Cost.compare_value value !best_value < 0 then begin
-        best_value := value;
-        best_prefix := !n_moves;
-        if collect then
-          offer_to_stacks ~k ~semi ~infeasible (Snapshot.capture st ~value)
+      Vec.clear ctx.stash;
+      if not (select ctx) then continue := false
+      else begin
+        let v = ctx.best.cand_cell and b = ctx.best.cand_to in
+        let gain = ctx.best.cand_gain in
+        Obs.incr c_moves;
+        Obs.observe h_move_gain (float_of_int gain);
+        if telemetry then begin
+          gain_sum := !gain_sum + gain;
+          rev_curve := !gain_sum :: !rev_curve
+        end;
+        let a = apply_move ctx v b in
+        (* before the neighbour update, so every unlocked active cell
+           is back in its buckets when the gains are adjusted *)
+        reinsert_stash ctx;
+        refresh_neighbours ctx ~v ~a ~b;
+        (match ctx.cfg.on_move with None -> () | Some f -> f st);
+        let value = ctx.eval st in
+        if Cost.compare_value value !best_value < 0 then begin
+          best_value := value;
+          best_prefix := ctx.n_moved;
+          if collect then
+            offer_to_stacks ~k ~semi ~infeasible (Snapshot.capture st ~value)
+        end
       end
     end
   done;
+  let n_moves = ctx.n_moved in
   (* rewind to the best prefix *)
-  let rec rewind i = function
-    | [] -> ()
-    | (v, a) :: rest ->
-      if i > !best_prefix then begin
-        State.move st v a;
-        rewind (i - 1) rest
-      end
-  in
-  rewind !n_moves !trail;
-  Obs.add c_rewound (!n_moves - !best_prefix);
+  for i = n_moves - 1 downto !best_prefix do
+    State.move st ctx.moved_cell.(i) ctx.moved_from.(i)
+  done;
+  Obs.add c_rewound (n_moves - !best_prefix);
   if telemetry then begin
     (* Gain-prefix curve, downsampled to ≤ 128 points (every
        [curve_stride]-th cumulative gain, last move always kept) so a
@@ -670,7 +753,7 @@ let run_pass ctx ~collect ~semi ~infeasible =
         ("type", Json.Str "pass");
         ("execution", Json.Int ctx.tel_execution);
         ("pass", Json.Int ctx.tel_pass);
-        ("moves", Json.Int !n_moves);
+        ("moves", Json.Int n_moves);
         ("best_prefix", Json.Int !best_prefix);
         ("cut_before", Json.Int cut_before);
         ("cut_after", Json.Int (State.cut_size st));
@@ -680,7 +763,7 @@ let run_pass ctx ~collect ~semi ~infeasible =
         ("gain_curve", Json.List !sampled);
       ]
   end;
-  (!best_value, !best_prefix, !n_moves)
+  (!best_value, !best_prefix, n_moves)
 
 (* A series of passes from the current solution; stops when a pass fails
    to improve the value. *)
@@ -763,23 +846,25 @@ let improve st ~spec ~config ~eval =
    refresh belongs in the subsystem's clock. *)
 let drive_gain_maintenance st ~spec ~config ~moves ~seed =
   let ctx = make_ctx st spec config (fun _ -> assert false) in
-  let n = Hg.num_nodes ctx.hg in
   let nb = ctx.nb in
+  (* the target rotation, normalised so a negative seed still picks a
+     block other than the source *)
+  let shift i =
+    let r = (seed + i) mod (nb - 1) in
+    if r < 0 then r + nb - 1 else r
+  in
   let applied = ref 0 in
   let refresh_s = ref 0.0 in
   let progress = ref true in
   while !applied < moves && !progress do
     progress := false;
     fill_buckets ctx;
-    let v = ref 0 in
-    while !applied < moves && !v < n do
-      let u = !v in
+    let i = ref 0 in
+    while !applied < moves && !i < Array.length ctx.members do
+      let u = ctx.members.(!i) in
       let a = State.block_of st u in
-      if (not ctx.locked.(u)) && ctx.pos.(a) >= 0 then begin
-        let bi =
-          (ctx.pos.(a) + 1 + ((seed + !applied) mod (nb - 1))) mod nb
-        in
-        let b = ctx.spec.active.(bi) in
+      if not ctx.locked.(u) then begin
+        let b = ctx.spec.active.((ctx.pos.(a) + 1 + shift !applied) mod nb) in
         if b <> a && cell_legal ctx u b then begin
           let a = apply_move ctx u b in
           let t0 = Fpart_obs.Clock.now () in
@@ -789,7 +874,7 @@ let drive_gain_maintenance st ~spec ~config ~moves ~seed =
           progress := true
         end
       end;
-      incr v
+      incr i
     done
   done;
   (!applied, !refresh_s)

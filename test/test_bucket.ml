@@ -254,6 +254,95 @@ let prop_dirs_model =
       && D.best_dirs d = naive_dirs
       && D.check d = Ok ())
 
+(* [clear] must leave a structure indistinguishable from a fresh one,
+   whatever mix of inserts, removes, updates (and, for a direction set,
+   disabled directions) came before it — not just after a full fill. *)
+
+let cells = 16
+
+let bucket_op b (op, cell, gain) =
+  match op with
+  | 0 -> if not (B.mem b cell) then B.insert b cell gain
+  | 1 -> B.remove b cell
+  | _ -> if B.mem b cell then B.update b cell gain
+
+let top_order b = B.fold_top b ~limit:cells ~init:[] ~f:(fun acc c -> c :: acc)
+
+let discipline_of fifo = if fifo then B.Fifo else B.Lifo
+
+let prop_bucket_clear =
+  let open QCheck in
+  let ops = small_list (triple (int_bound 2) (int_bound (cells - 1)) (int_range (-8) 8)) in
+  Test.make ~count:300 ~name:"cleared bucket behaves as a fresh one"
+    (triple bool ops ops)
+    (fun (fifo, before, after) ->
+      let make () = B.create ~discipline:(discipline_of fifo) ~cells ~max_gain:8 () in
+      let used = make () and fresh = make () in
+      List.iter (bucket_op used) before;
+      B.clear used;
+      B.check used = Ok ()
+      && B.cardinal used = 0
+      && List.for_all (fun c -> not (B.mem used c)) (List.init cells Fun.id)
+      && B.top_gain used = None
+      && List.for_all
+           (fun op ->
+             bucket_op used op;
+             bucket_op fresh op;
+             top_order used = top_order fresh
+             && B.top_gain used = B.top_gain fresh
+             && B.cardinal used = B.cardinal fresh)
+           after
+      && B.check used = Ok ())
+
+let dirs = 4
+
+let dirs_op d (op, dir, cell, gain) =
+  match op with
+  | 0 -> if not (D.mem d ~dir cell) then D.insert d ~dir cell gain
+  | 1 -> D.remove d ~dir cell
+  | 2 -> if D.mem d ~dir cell then D.update d ~dir cell gain
+  | _ -> D.set_enabled d dir (gain >= 0)
+
+let same_dirs d1 d2 =
+  D.best_gain d1 = D.best_gain d2
+  && D.best_dirs d1 = D.best_dirs d2
+  && List.for_all
+       (fun dir -> top_order (D.bucket d1 dir) = top_order (D.bucket d2 dir))
+       (List.init dirs Fun.id)
+
+let prop_dirs_clear =
+  let open QCheck in
+  let ops =
+    small_list
+      (quad (int_bound 3) (int_bound (dirs - 1)) (int_bound (cells - 1))
+         (int_range (-6) 6))
+  in
+  Test.make ~count:300 ~name:"cleared direction set behaves as a fresh one"
+    (triple bool ops ops)
+    (fun (fifo, before, after) ->
+      let make () =
+        D.create ~discipline:(discipline_of fifo) ~directions:dirs ~cells
+          ~max_gain:6 ()
+      in
+      let used = make () and fresh = make () in
+      List.iter (dirs_op used) before;
+      D.clear used;
+      let each_dir f = List.for_all f (List.init dirs Fun.id) in
+      D.check used = Ok ()
+      && D.total_cells used = 0
+      && each_dir (fun dir ->
+             List.for_all (fun c -> not (D.mem used ~dir c)) (List.init cells Fun.id))
+      && D.best_gain used = None
+      && D.best_dirs used = []
+      && each_dir (D.enabled used)
+      && List.for_all
+           (fun op ->
+             dirs_op used op;
+             dirs_op fresh op;
+             same_dirs used fresh)
+           after
+      && D.check used = Ok ())
+
 let () =
   Alcotest.run "gainbucket"
     [
@@ -278,5 +367,6 @@ let () =
           Alcotest.test_case "totals/clear" `Quick test_dirs_totals_clear;
         ] );
       ( "property",
-        List.map QCheck_alcotest.to_alcotest [ prop_model; prop_dirs_model ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_model; prop_dirs_model; prop_bucket_clear; prop_dirs_clear ] );
     ]

@@ -85,6 +85,138 @@ let test_ratio_cut_infeasible_none () =
   Alcotest.(check bool) "None" true
     (Fpart.Ratio_cut.split h ~member:(fun _ -> true) ~s_max:1 ~t_max:0 = None)
 
+(* The ratio-cut sweep as it was before per-net delta updates: after
+   every move, each bucketed neighbour's gain is re-derived from all its
+   nets with [State.cut_gain], at the neighbour's first incidence.
+   [Ratio_cut.split] must return exactly what this reference returns. *)
+module Ratio_cut_reference = struct
+  module Bucket = Gainbucket.Bucket_array
+
+  let external_b = 0
+  let grow = 1
+  let rest = 2
+
+  let far_member_cell hg ~member start =
+    let seen = Array.make (Hg.num_nodes hg) false in
+    let q = Queue.create () in
+    seen.(start) <- true;
+    Queue.add start q;
+    let last_cell = ref start in
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      if not (Hg.is_pad hg v) then last_cell := v;
+      Array.iter
+        (fun e ->
+          Array.iter
+            (fun u ->
+              if (not seen.(u)) && member u then begin
+                seen.(u) <- true;
+                Queue.add u q
+              end)
+            (Hg.pins hg e))
+        (Hg.nets_of hg v)
+    done;
+    !last_cell
+
+  let sweep hg ~member ~s_max ~t_max seed =
+    let n = Hg.num_nodes hg in
+    let st =
+      State.create hg ~k:3 ~assign:(fun v -> if member v then rest else external_b)
+    in
+    State.move st seed grow;
+    let c12 = ref 0 in
+    Hg.iter_nets
+      (fun e ->
+        if State.net_count st e grow > 0 && State.net_count st e rest > 0 then incr c12)
+      hg;
+    let bucket = Bucket.create ~cells:n ~max_gain:(max 1 (Hg.max_node_degree hg)) () in
+    Hg.iter_nodes
+      (fun u ->
+        if State.block_of st u = rest then Bucket.insert bucket u (State.cut_gain st u grow))
+      hg;
+    let trail = ref [] in
+    let moves = ref 0 in
+    let best = ref None in
+    while not (Bucket.is_empty bucket) do
+      let u = Bucket.fold_top bucket ~limit:1 ~init:(-1) ~f:(fun _ c -> c) in
+      Bucket.remove bucket u;
+      Array.iter
+        (fun e ->
+          let c1 = State.net_count st e grow and c2 = State.net_count st e rest in
+          c12 := !c12 + Bool.to_int (c2 - 1 > 0) - Bool.to_int (c1 > 0 && c2 > 0))
+        (Hg.nets_of hg u);
+      State.move st u grow;
+      trail := u :: !trail;
+      incr moves;
+      Array.iter
+        (fun e ->
+          Array.iter
+            (fun w ->
+              if Bucket.mem bucket w then Bucket.update bucket w (State.cut_gain st w grow))
+            (Hg.pins hg e))
+        (Hg.nets_of hg u);
+      let s1 = State.size_of st grow and s2 = State.size_of st rest in
+      if s1 > 0 && s2 > 0 then begin
+        let ratio = float_of_int !c12 /. (float_of_int s1 *. float_of_int s2) in
+        let feas1 = s1 <= s_max && State.pins_of st grow <= t_max in
+        let feas2 = s2 <= s_max && State.pins_of st rest <= t_max in
+        if feas1 || feas2 then begin
+          let side = if feas1 then grow else rest in
+          match !best with
+          | Some (r, _, _) when r <= ratio -> ()
+          | _ -> best := Some (ratio, !moves, side)
+        end
+      end
+    done;
+    match !best with
+    | None -> None
+    | Some (ratio, prefix, side) ->
+      List.iteri
+        (fun i u -> if !moves - i > prefix then State.move st u rest)
+        !trail;
+      Some (Array.init n (fun v -> State.block_of st v = side), ratio)
+
+  let split hg ~member ~s_max ~t_max =
+    let start = ref (-1) in
+    Hg.iter_nodes
+      (fun v -> if !start < 0 && member v && not (Hg.is_pad hg v) then start := v)
+      hg;
+    if !start < 0 then None
+    else begin
+      let seed1 = far_member_cell hg ~member !start in
+      let seed2 = far_member_cell hg ~member seed1 in
+      let r1 = sweep hg ~member ~s_max ~t_max seed1 in
+      let r2 = if seed2 <> seed1 then sweep hg ~member ~s_max ~t_max seed2 else None in
+      match (r1, r2) with
+      | None, None -> None
+      | (Some _ as r), None | None, (Some _ as r) -> r
+      | Some ((_, va) as ra), Some ((_, vb) as rb) -> Some (if va <= vb then ra else rb)
+    end
+end
+
+(* Circuits with pads and cells of size 1-3, a random member set, and
+   windows from roomy down to ones no prefix can satisfy. *)
+let prop_ratio_cut_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"ratio-cut sweep matches the recompute reference"
+    QCheck.(quad (int_range 8 120) (int_range 0 10_000) (int_range 1 90) (int_range 0 48))
+    (fun (cells, seed, s_max, t_max) ->
+      let rng = Prng.Splitmix.create seed in
+      let h =
+        Fpart_testgen.resize
+          (Fpart_testgen.circuit ~name:"rc" ~cells ~pads:(1 + (cells / 8)) seed)
+          ~size:(fun _ -> Prng.Splitmix.int_in rng 1 3)
+      in
+      let members = Array.init (Hg.num_nodes h) (fun _ -> Prng.Splitmix.int rng 4 > 0) in
+      let member v = members.(v) in
+      match
+        ( Fpart.Ratio_cut.split h ~member ~s_max ~t_max,
+          Ratio_cut_reference.split h ~member ~s_max ~t_max )
+      with
+      | None, None -> true
+      | Some r, Some (p_side, ratio) ->
+        r.Fpart.Ratio_cut.p_side = p_side && Float.equal r.Fpart.Ratio_cut.ratio ratio
+      | Some _, None | None, Some _ -> false)
+
 (* --- Bipartition --------------------------------------------------- *)
 
 let test_bipartition_splits () =
@@ -246,5 +378,9 @@ let () =
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_seed_merge_within_capacity; prop_bipartition_partitions ] );
+          [
+            prop_seed_merge_within_capacity;
+            prop_bipartition_partitions;
+            prop_ratio_cut_matches_reference;
+          ] );
     ]

@@ -367,6 +367,21 @@ let test_maintenance_driver_bit_identical () =
   Alcotest.(check int) "same applied count" applied_r applied_d;
   Alcotest.(check (array int)) "same final assignment" assign_r assign_d
 
+(* A negative seed must still rotate onto a block other than the
+   source: with four or more active blocks the raw [(seed + applied)
+   mod (nb - 1)] is negative and used to index before the first
+   block. *)
+let test_maintenance_driver_negative_seed () =
+  let h = circuit ~cells:40 7 in
+  let spec = default_spec [| 0; 1; 2; 3 |] 4 in
+  let st = State.create h ~k:4 ~assign:(fun v -> v mod 4) in
+  let applied, _ =
+    Sanchis.drive_gain_maintenance st ~spec ~config:Sanchis.default_config
+      ~moves:200 ~seed:(-5)
+  in
+  Alcotest.(check bool) "some moves applied" true (applied > 0);
+  match State.check st with Ok () -> () | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "sanchis"
     [
@@ -389,6 +404,8 @@ let () =
             test_delta_gains_match_oracle;
           Alcotest.test_case "maintenance driver" `Quick
             test_maintenance_driver_bit_identical;
+          Alcotest.test_case "maintenance driver, negative seed" `Quick
+            test_maintenance_driver_negative_seed;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

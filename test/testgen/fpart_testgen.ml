@@ -138,6 +138,28 @@ let relabel hg ~perm =
     hg;
   Hg.Builder.freeze b
 
+(* [resize hg ~size] rebuilds [hg] with cell [v] of size [size v]
+   (node ids, kinds, names, flops and nets preserved; pads stay size
+   0).  [size] is called once per cell, in ascending id order. *)
+let resize hg ~size =
+  let b = Hg.Builder.create () in
+  Hg.iter_nodes
+    (fun v ->
+      ignore
+        (match Hg.kind hg v with
+        | Hg.Cell ->
+          Hg.Builder.add_cell b ~flops:(Hg.flops hg v) ~name:(Hg.name hg v)
+            ~size:(size v)
+        | Hg.Pad -> Hg.Builder.add_pad b ~name:(Hg.name hg v)))
+    hg;
+  Hg.iter_nets
+    (fun e ->
+      ignore
+        (Hg.Builder.add_net b ~name:(Hg.net_name hg e)
+           (Array.to_list (Hg.pins hg e))))
+    hg;
+  Hg.Builder.freeze b
+
 (* Transport an assignment through a relabeling: if [a] assigns on the
    original graph, the result assigns on [relabel hg ~perm]. *)
 let transport ~perm a =
