@@ -217,7 +217,6 @@ let mlevel_scale_name = "mlevel/table-scale"
 let refiner_table_name = "refiner/table2"
 let serve_table_name = "serve/latency-table"
 let selfcheck_name = "selfcheck/overhead-table2"
-let gain_update_name = "gain_update/table2"
 let recorder_name = "recorder/overhead-table2"
 let resource_name = "resource/overhead-table2"
 let expose_name = "expose/overhead-table2"
@@ -261,11 +260,6 @@ let selfcheck_wanted =
   | None -> true
   | Some pat -> contains selfcheck_name pat
 
-let gain_update_wanted =
-  match Sys.getenv_opt "FPART_BENCH_ONLY" with
-  | None -> true
-  | Some pat -> contains gain_update_name pat
-
 let recorder_wanted =
   match Sys.getenv_opt "FPART_BENCH_ONLY" with
   | None -> true
@@ -304,9 +298,8 @@ let tests =
   in
   if
     kept = [] && not parallel_wanted && not selfcheck_wanted
-    && not gain_update_wanted && not recorder_wanted && not resource_wanted
-    && not expose_wanted && not mlevel_scale_wanted && not refiner_wanted
-    && not serve_wanted
+    && not recorder_wanted && not resource_wanted && not expose_wanted
+    && not mlevel_scale_wanted && not refiner_wanted && not serve_wanted
   then begin
     prerr_endline "bench: FPART_BENCH_ONLY matched no benchmarks";
     exit 1
@@ -508,124 +501,6 @@ let measure_selfcheck () =
       (interleaved_medians ~repeats:overhead_repeats
          (time Fpart_check.Selfcheck.Off)
          (time Fpart_check.Selfcheck.Cheap))
-  end
-
-(* Delta-gain throughput on the table-2 circuit, [gain_update = Delta]
-   (incremental critical-net updates, the default) vs [Recompute] (the
-   escape hatch that rebuilds every neighbour gain from scratch).  Two
-   measurements, both bit-identical across modes:
-
-   - maintenance: [Sanchis.drive_gain_maintenance] applies the same
-     scripted move sequence through the real per-move machinery with no
-     selection, lookahead, evaluation or rewind, and clocks only the
-     neighbour refresh itself — the one piece the two modes implement
-     differently.  This is the headline moves/sec the bench-regression
-     CI job guards, with an acceptance bar of >= 2x for delta.
-   - engine: a full 4-way [Sanchis.improve] from a fresh round-robin
-     assignment.  Selection, evaluation and pass setup are shared by
-     both modes, so this end-to-end ratio is much smaller (Amdahl);
-     recorded so the snapshot keeps the honest whole-engine number.
-
-   Min of 3 interleaved samples per measurement per mode.  The delta
-   engine's update/avoided counters ride along so regressions in the
-   quiet-net skip show up in the snapshot diff too. *)
-
-type gu_pair = {
-  gp_wall_delta : float;
-  gp_wall_recompute : float;
-  gp_moves : int;  (** applied moves per sample (identical across modes) *)
-}
-
-type gain_update_result = {
-  gu_maintenance : gu_pair;
-  gu_engine : gu_pair;
-  gu_updates : int;  (** sanchis.delta.updates over one delta sample *)
-  gu_avoided : int;  (** sanchis.delta.avoided over one delta sample *)
-}
-
-let gu_maintenance_moves = 50_000
-
-let measure_gain_update () =
-  if not gain_update_wanted then None
-  else begin
-    let module Metrics = Fpart_obs.Metrics in
-    let hg = Lazy.force c3540_3000 in
-    (* table 2 splits c3540 across 7 XC3020s; matching that arity also
-       matters for the measurement itself: recompute refreshes every
-       neighbour towards all k-1 targets while delta touches ~2, so the
-       maintenance gap is a function of k. *)
-    let k = 7 in
-    let ctx = Partition.Cost.context_of Device.xc3020 ~delta:0.9 hg in
-    let spec =
-      {
-        Sanchis.active = Array.init k Fun.id;
-        remainder = None;
-        lower = Array.make k 0;
-        upper = Array.make k max_int;
-      }
-    in
-    let c_updates = Metrics.counter "sanchis.delta.updates" in
-    let c_avoided = Metrics.counter "sanchis.delta.avoided" in
-    let config mode = { Sanchis.default_config with gain_update = mode } in
-    let maintenance_sample mode =
-      let st = Partition.State.create hg ~k ~assign:(fun v -> v mod k) in
-      let applied, refresh_s =
-        Sanchis.drive_gain_maintenance st ~spec ~config:(config mode)
-          ~moves:gu_maintenance_moves ~seed:1
-      in
-      (refresh_s, applied, Array.copy (Partition.State.assignment st))
-    in
-    let engine_sample mode =
-      let st = Partition.State.create hg ~k ~assign:(fun v -> v mod k) in
-      let tracker =
-        Partition.Cost.tracker Partition.Cost.default_params ctx st
-          ~remainder:None ~step_k:k
-      in
-      let eval st = Partition.Cost.tracked_evaluate tracker st in
-      let t0 = Unix.gettimeofday () in
-      let report = Sanchis.improve st ~spec ~config:(config mode) ~eval in
-      let wall = Unix.gettimeofday () -. t0 in
-      ( wall,
-        report.Sanchis.moves_applied,
-        Array.copy (Partition.State.assignment st) )
-    in
-    let compare_modes name sample =
-      let best_d = ref infinity and best_r = ref infinity in
-      let moves = ref 0 in
-      for _ = 1 to 3 do
-        let wd, md, ad = sample Sanchis.Delta in
-        let wr, mr, ar = sample Sanchis.Recompute in
-        if md <> mr || ad <> ar then begin
-          Printf.eprintf "bench: %s diverged between delta and recompute\n"
-            name;
-          exit 1
-        end;
-        best_d := min !best_d wd;
-        best_r := min !best_r wr;
-        moves := md
-      done;
-      {
-        gp_wall_delta = !best_d;
-        gp_wall_recompute = !best_r;
-        gp_moves = !moves;
-      }
-    in
-    let u0 = Metrics.counter_value c_updates in
-    let a0 = Metrics.counter_value c_avoided in
-    let maintenance = compare_modes "gain maintenance" maintenance_sample in
-    let updates = ref (Metrics.counter_value c_updates - u0) in
-    let avoided = ref (Metrics.counter_value c_avoided - a0) in
-    (* three delta samples ran above; report per-sample counts *)
-    updates := !updates / 3;
-    avoided := !avoided / 3;
-    let engine = compare_modes "engine run" engine_sample in
-    Some
-      {
-        gu_maintenance = maintenance;
-        gu_engine = engine;
-        gu_updates = !updates;
-        gu_avoided = !avoided;
-      }
   end
 
 (* Recorder overhead: wall time of a Driver.run on the table-2 workload
@@ -980,8 +855,8 @@ let serve_field_json sv =
            else 0.0) );
     ]
 
-let write_snapshot rows parallel selfcheck gain_update recorder resource
-    expose mlevel_scale refiner serve =
+let write_snapshot rows parallel selfcheck recorder resource expose
+    mlevel_scale refiner serve =
   let benchmarks =
     List.map
       (fun (name, est) ->
@@ -1015,37 +890,6 @@ let write_snapshot rows parallel selfcheck gain_update recorder resource
             ("wall_s_off", Json.Float off);
             ("wall_s_cheap", Json.Float cheap);
           ])
-  in
-  let gain_update_field =
-    match gain_update with
-    | None -> Json.Null
-    | Some g ->
-      let pair p =
-        let per_s wall =
-          if wall > 0.0 then float_of_int p.gp_moves /. wall else 0.0
-        in
-        Json.Obj
-          [
-            ("wall_s_delta", Json.Float p.gp_wall_delta);
-            ("wall_s_recompute", Json.Float p.gp_wall_recompute);
-            ("moves", Json.Int p.gp_moves);
-            ("moves_per_s_delta", Json.Float (per_s p.gp_wall_delta));
-            ("moves_per_s_recompute", Json.Float (per_s p.gp_wall_recompute));
-            ( "speedup",
-              Json.Float
-                (if p.gp_wall_delta > 0.0 then
-                   p.gp_wall_recompute /. p.gp_wall_delta
-                 else 0.0) );
-          ]
-      in
-      Json.Obj
-        [
-          ("name", Json.Str gain_update_name);
-          ("maintenance", pair g.gu_maintenance);
-          ("engine", pair g.gu_engine);
-          ("delta_updates", Json.Int g.gu_updates);
-          ("delta_avoided", Json.Int g.gu_avoided);
-        ]
   in
   let recorder_field =
     match recorder with
@@ -1110,7 +954,6 @@ let write_snapshot rows parallel selfcheck gain_update recorder resource
         ("benchmarks", Json.List benchmarks);
         ("parallel", parallel_field);
         ("selfcheck", selfcheck_field);
-        ("gain_update", gain_update_field);
         ("recorder", recorder_field);
         ("resource", resource_field);
         ("expose", expose_field);
@@ -1151,8 +994,8 @@ let install_resource_source () =
         os_stime_s = t.Unix.tms_stime;
       })
 
-let ledger_rows rows parallel selfcheck gain_update recorder resource expose
-    mlevel_scale refiner serve =
+let ledger_rows rows parallel selfcheck recorder resource expose mlevel_scale
+    refiner serve =
   let r name value unit_ higher_better =
     { Ledger.name; value; unit_; higher_better }
   in
@@ -1172,22 +1015,6 @@ let ledger_rows rows parallel selfcheck gain_update recorder resource expose
           r (selfcheck_name ^ "/wall_s_cheap") cheap "s" false;
         ])
       selfcheck
-  @ opt
-      (fun g ->
-        let per_s p w = if w > 0.0 then float_of_int p.gp_moves /. w else 0.0 in
-        [
-          r
-            (gain_update_name ^ "/maintenance-moves-per-s")
-            (per_s g.gu_maintenance g.gu_maintenance.gp_wall_delta)
-            "moves/s" true;
-          r
-            (gain_update_name ^ "/engine-speedup")
-            (if g.gu_engine.gp_wall_delta > 0.0 then
-               g.gu_engine.gp_wall_recompute /. g.gu_engine.gp_wall_delta
-             else 0.0)
-            "x" true;
-        ])
-      gain_update
   @ opt
       (fun (off, on) ->
         [
@@ -1346,17 +1173,6 @@ let () =
     Printf.printf "%-42s %15s\n" selfcheck_name
       (Printf.sprintf "%+.1f%% (cheap)"
          (if off > 0.0 then 100.0 *. (cheap -. off) /. off else 0.0)));
-  let gain_update = measure_gain_update () in
-  (match gain_update with
-  | None -> ()
-  | Some g ->
-    let speedup p =
-      if p.gp_wall_delta > 0.0 then p.gp_wall_recompute /. p.gp_wall_delta
-      else 0.0
-    in
-    Printf.printf "%-42s %15s\n" gain_update_name
-      (Printf.sprintf "%.2fx maint, %.2fx engine"
-         (speedup g.gu_maintenance) (speedup g.gu_engine)));
   let recorder = measure_recorder () in
   (match recorder with
   | None -> ()
@@ -1408,12 +1224,12 @@ let () =
     Printf.printf "%-42s %15s\n" serve_table_name
       (Printf.sprintf "cold %.1fms warm %.1fms p50" sv.sv_cold_p50_ms
          sv.sv_warm_p50_ms));
-  write_snapshot rows parallel selfcheck gain_update recorder resource expose
-    mlevel_scale refiner serve;
+  write_snapshot rows parallel selfcheck recorder resource expose mlevel_scale
+    refiner serve;
   Printf.printf "perf snapshot written to %s\n" snapshot_path;
   match Sys.getenv_opt "FPART_BENCH_LEDGER" with
   | None | Some "" -> ()
   | Some path ->
     append_ledger path
-      (ledger_rows rows parallel selfcheck gain_update recorder resource expose
-         mlevel_scale refiner serve)
+      (ledger_rows rows parallel selfcheck recorder resource expose mlevel_scale
+         refiner serve)

@@ -107,7 +107,7 @@ let engine_name = function Eng_flat -> "flat" | Eng_mlevel -> "mlevel"
 (* Shared fpart configuration from the CLI knobs; also the canonical
    config-digest producer for the ledger (kwayx/fbb-mw runs digest the
    same record — their relevant knobs, delta and seed, live in it). *)
-let make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~gain_update ~refiner =
+let make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner =
   {
     Fpart.Config.default with
     delta;
@@ -115,7 +115,6 @@ let make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~gain_update ~refiner =
     cluster_size = cluster;
     jobs;
     selfcheck;
-    gain_update;
     refiner;
   }
 
@@ -224,7 +223,7 @@ let check_mode path hg device delta =
       if report.Partition.Check.feasible then Ok () else Error "partition is infeasible")
 
 let main input generate device_name delta algo engine seed runs cluster jobs
-    selfcheck gain_update refiner output save check board dot trace trace_format
+    selfcheck refiner output save check board dot trace trace_format
     stats log_level trace_log ledger =
   setup_obs ~trace ~trace_format ~stats ~log_level;
   let result =
@@ -244,8 +243,7 @@ let main input generate device_name delta algo engine seed runs cluster jobs
         | None ->
         let t0 = Unix.gettimeofday () in
         let config =
-          make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~gain_update
-            ~refiner
+          make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner
         in
         let k, assignment, feasible, trace_events =
           partition algo engine hg device ~config ~delta ~seed ~runs
@@ -351,10 +349,20 @@ let device =
     & opt string "XC3020"
     & info [ "device"; "d" ] ~docv:"NAME" ~doc:"Target FPGA device (XC3020, XC3042, XC3090, XC2064).")
 
+(* The filling ratio must lie in (0, 1]; NaN fails both tests. *)
+let delta_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some d when d > 0.0 && d <= 1.0 -> Ok d
+    | Some _ -> Error (`Msg "RATIO must be in (0, 1]")
+    | None -> Error (`Msg "RATIO must be a number")
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let delta =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some delta_conv) None
     & info [ "delta" ] ~docv:"RATIO" ~doc:"Filling ratio; defaults to the paper's per-family value.")
 
 let algo =
@@ -378,10 +386,20 @@ let engine =
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
+(* A count that must be at least 1; [docv] names it in the error. *)
+let positive_conv docv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg (docv ^ " must be at least 1"))
+    | None -> Error (`Msg (docv ^ " must be an integer"))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let runs =
   Arg.(
     value
-    & opt int 1
+    & opt (positive_conv "N") 1
     & info [ "runs" ] ~docv:"N"
         ~doc:"Multi-start: run FPART N times with different seeds and keep the best (fpart only).")
 
@@ -392,19 +410,10 @@ let cluster =
     & info [ "cluster" ] ~docv:"SIZE"
         ~doc:"Clustering pre-pass: coarsen into connectivity clusters of logic size <= SIZE before partitioning (fpart only).")
 
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg "JOBS must be at least 1")
-    | None -> Error (`Msg "JOBS must be an integer")
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let jobs =
   Arg.(
     value
-    & opt jobs_conv 1
+    & opt (positive_conv "JOBS") 1
     & info [ "jobs"; "j" ] ~docv:"JOBS"
         ~doc:
           "Execution domains: run the multi-start runs (and the initial-bipartition portfolio) on JOBS parallel domains. The result is bit-identical to JOBS=1 (fpart only).")
@@ -423,16 +432,6 @@ let selfcheck =
     & info [ "selfcheck" ] ~docv:"LEVEL"
         ~doc:
           "Validate the incremental state against the reference oracle while partitioning: $(b,off) (default), $(b,cheap) (pass boundaries, a few percent overhead) or $(b,paranoid) (every applied move, debugging only). Violations are reported on stderr and counted in --stats (fpart only).")
-
-let gain_update =
-  Arg.(
-    value
-    & opt
-        (enum [ ("delta", Sanchis.Delta); ("recompute", Sanchis.Recompute) ])
-        Sanchis.Delta
-    & info [ "gain-update" ] ~docv:"MODE"
-        ~doc:
-          "Neighbour-gain maintenance inside the improvement engine: $(b,delta) (default, incremental critical-net updates) or $(b,recompute) (escape hatch recomputing every neighbour gain from scratch). Both produce bit-identical partitions; delta is faster (fpart only).")
 
 let refiner =
   Arg.(
@@ -526,7 +525,7 @@ let cmd =
     (Cmd.info "fpart" ~doc)
     Term.(
       const main $ input $ generate $ device $ delta $ algo $ engine $ seed
-      $ runs $ cluster $ jobs $ selfcheck $ gain_update $ refiner $ output
+      $ runs $ cluster $ jobs $ selfcheck $ refiner $ output
       $ save $ check $ board $ dot $ trace $ Obs_setup.trace_format_arg $ stats
       $ log_level $ trace_log $ ledger)
 

@@ -1,6 +1,6 @@
 (* Offline trace analyzer: hotspot and convergence tables from a
    recorded trace (JSONL or chrome export), structural validation for
-   CI, a two-run diff for A/B-ing flags like --gain-update or --jobs,
+   CI, a two-run diff for A/B-ing flags like --jobs or --refiner,
    plus subcommands over the other artifact kinds: [mem] (allocation
    view of a trace) and [trend]/[regress] (run-history ledger
    statistics).  All analysis lives in Fpart_obs.Inspect; this file is

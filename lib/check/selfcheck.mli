@@ -10,7 +10,9 @@
       call and on the final partition.  O(pins) per boundary, a handful
       of boundaries per iteration; overhead is a few percent.
     - {!Paranoid}: additionally validate after {e every applied move}
-      inside the Sanchis engine.  O(pins) per move — debugging only.
+      inside the Sanchis engine, both the state and every bucket gain
+      the move could have changed ({!validate_gain}).  O(pins) per
+      check — debugging only.
 
     Violations never abort the run: they are counted
     ([selfcheck.violations]) and reported through the [Fpart_obs] sink

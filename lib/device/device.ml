@@ -28,7 +28,8 @@ let find name =
   List.find_opt (fun d -> String.lowercase_ascii d.dev_name = name) catalog
 
 let s_max d ~delta =
-  if delta <= 0.0 || delta > 1.0 then invalid_arg "Device.s_max: delta out of (0,1]";
+  if not (delta > 0.0 && delta <= 1.0) then
+    invalid_arg "Device.s_max: delta out of (0,1]";
   int_of_float (float_of_int d.s_ds *. delta)
 
 let paper_delta d = match d.family with XC2000 -> 1.0 | XC3000 -> 0.9
@@ -47,7 +48,7 @@ let ceil_div a b = (a + b - 1) / b
    = 16 even though 16 blocks of floor(57.6) = 57 CLBs cannot actually
    hold 915 CLBs. *)
 let lower_bound d ~delta ~total_size ~total_pads =
-  if delta <= 0.0 || delta > 1.0 then
+  if not (delta > 0.0 && delta <= 1.0) then
     invalid_arg "Device.lower_bound: delta out of (0,1]";
   let s_cap = float_of_int d.s_ds *. delta in
   let s = int_of_float (ceil (float_of_int total_size /. s_cap)) in

@@ -64,8 +64,8 @@ val find : string -> t option
 (** {1 Derived quantities} *)
 
 (** [s_max d ~delta] is the derated logic capacity
-    [floor (S_ds * delta)].  @raise Invalid_argument if
-    [delta <= 0 || delta > 1]. *)
+    [floor (S_ds * delta)].  @raise Invalid_argument unless
+    [0 < delta <= 1] (a NaN [delta] raises too). *)
 val s_max : t -> delta:float -> int
 
 (** [paper_delta d] is the filling ratio the paper used for [d]: 1.0 for
@@ -86,7 +86,7 @@ val feasible : t -> delta:float -> size:int -> pins:int -> bool
     of devices needed (section 2).  The logic term divides by the real
     derated capacity [S_ds · delta] rather than the floored {!s_max};
     this is the convention that reproduces every M printed in the
-    paper's tables. *)
+    paper's tables.  @raise Invalid_argument unless [0 < delta <= 1]. *)
 val lower_bound : t -> delta:float -> total_size:int -> total_pads:int -> int
 
 (** [io_critical d ~delta ~total_size ~total_pads] is [true] when the

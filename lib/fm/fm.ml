@@ -88,7 +88,7 @@ let run_pass st ~b0 ~b1 ~limits =
     List.iter (fun (dir, cell, g) -> Bucket.insert buckets.(dir) cell g) !stash;
     chosen
   in
-  (* Recompute the gain of every unlocked in-play neighbour of [v]. *)
+  (* Re-derive the gain of every unlocked in-play neighbour of [v]. *)
   let update_neighbours v =
     Array.iter
       (fun e ->

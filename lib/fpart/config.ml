@@ -27,7 +27,6 @@ type t = {
   bucket_discipline : Gainbucket.Bucket_array.discipline;
   scan_limit : int;
   gain_mode : Sanchis.gain_mode;
-  gain_update : Sanchis.gain_update;
   drift_limit : int option;
   random_initial : bool;
   cluster_size : int option;
@@ -54,7 +53,6 @@ let default =
     bucket_discipline = Gainbucket.Bucket_array.Lifo;
     scan_limit = 16;
     gain_mode = Sanchis.Cut_gain;
-    gain_update = Sanchis.Delta;
     drift_limit = None;
     random_initial = false;
     cluster_size = None;
@@ -68,18 +66,30 @@ let delta_for t device =
   match t.delta with Some d -> d | None -> Device.paper_delta device
 
 let engine t =
+  let module Selfcheck = Fpart_check.Selfcheck in
+  let paranoid = Selfcheck.at_least t.selfcheck Selfcheck.Paranoid in
+  let pin = t.gain_mode = Sanchis.Pin_gain in
   {
     Sanchis.gain_levels = t.gain_levels;
     scan_limit = t.scan_limit;
     max_passes = t.max_passes;
     stack_depth = t.stack_depth;
     gain_mode = t.gain_mode;
-    gain_update = t.gain_update;
     drift_limit = t.drift_limit;
     bucket_discipline = t.bucket_discipline;
     tie_salt = t.seed land 0xFFFF;
-    on_move = None;
-    on_gain_update = None;
+    on_move =
+      (if paranoid then
+         Some (fun st -> ignore (Selfcheck.validate ~where:"sanchis.move" st))
+       else None);
+    on_gain_update =
+      (if paranoid then
+         Some
+           (fun st ~cell ~target ~gain ->
+             ignore
+               (Selfcheck.validate_gain ~where:"sanchis.gain" st ~pin ~cell
+                  ~target ~gain))
+       else None);
   }
 
 let free_space t ~s_max ~t_max ~size ~pins =
@@ -119,8 +129,6 @@ let digest ?(extra = "") t =
   i "scan_limit" t.scan_limit;
   s "gain_mode"
     (match t.gain_mode with Sanchis.Cut_gain -> "cut" | Sanchis.Pin_gain -> "pin");
-  s "gain_update"
-    (match t.gain_update with Sanchis.Delta -> "delta" | Sanchis.Recompute -> "recompute");
   (match t.drift_limit with Some d -> i "drift_limit" d | None -> s "drift_limit" "off");
   s "random_initial" (string_of_bool t.random_initial);
   (match t.cluster_size with Some c -> i "cluster" c | None -> s "cluster" "off");

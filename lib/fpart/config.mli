@@ -55,12 +55,6 @@ type t = {
   gain_mode : Sanchis.gain_mode;
       (** Primary gain: published [Cut_gain], or the future-work
           [Pin_gain] (section 5). *)
-  gain_update : Sanchis.gain_update;
-      (** Neighbour-gain maintenance inside the engine: [Delta]
-          (default, incremental critical-net updates) or [Recompute]
-          (the escape hatch that recomputes every neighbour gain from
-          scratch).  Both produce bit-identical partitions — see
-          docs/PERFORMANCE.md. *)
   drift_limit : int option;
       (** Future-work early pass abort (section 5); [None] = published
           behaviour. *)
@@ -89,7 +83,8 @@ type t = {
   selfcheck : Fpart_check.Selfcheck.level;
       (** Runtime validation of the incremental state against the
           reference oracle ({!Fpart_check.Selfcheck}): [Off] (default),
-          [Cheap] (pass boundaries), [Paranoid] (every applied move).
+          [Cheap] (pass boundaries), [Paranoid] (every applied move,
+          and every gain the move could change).
           Violations are counted and reported through [Fpart_obs], never
           abort the run.  See docs/TESTING.md. *)
 }
@@ -100,7 +95,11 @@ val default : t
 (** [delta_for t device] resolves the filling ratio. *)
 val delta_for : t -> Device.t -> float
 
-(** [engine t] derives the Sanchis engine configuration. *)
+(** [engine t] derives the Sanchis engine configuration.  At
+    [selfcheck = Paranoid] it installs both hooks: [on_move] validates
+    the state after every applied move, and [on_gain_update] compares
+    every reported bucket gain with the oracle
+    ({!Fpart_check.Selfcheck.validate_gain}). *)
 val engine : t -> Sanchis.config
 
 (** [free_space t ~s_max ~t_max ~size ~pins] is the free-space estimate

@@ -163,25 +163,13 @@ let run_flat ?pool config hg device =
 (* Flat refinement after projecting a coarse partition: one multi-block
    pass when k is small, otherwise a ring of pairwise passes.  Windows
    are strict (no size violations) so feasibility can only improve. *)
-let refine_flat config ctx st =
+let refine config ctx st =
   let k = State.k st in
   if k < 2 then ()
   else begin
   let lower = Array.make k 0 and upper = Array.make k ctx.Cost.s_max in
   let eval st = Cost.evaluate config.Config.cost ctx st ~remainder:None ~step_k:k in
-  let engine =
-    let e = Config.engine config in
-    if Fpart_check.Selfcheck.at_least config.Config.selfcheck Fpart_check.Selfcheck.Paranoid
-    then
-      {
-        e with
-        Sanchis.on_move =
-          Some
-            (fun st ->
-              ignore (Fpart_check.Selfcheck.validate ~where:"sanchis.move" st));
-      }
-    else e
-  in
+  let engine = Config.engine config in
   let boundary st =
     if Fpart_check.Selfcheck.at_least config.Config.selfcheck Fpart_check.Selfcheck.Cheap
     then ignore (Fpart_check.Selfcheck.validate ~where:"driver.refine" st)
@@ -226,8 +214,6 @@ let refine_flat config ctx st =
     if refiner = Config.Hybrid_refiner && !retained = 0 then flow_all ()
   end
 
-let refine = refine_flat
-
 let run_clustered ?pool config hg device ~max_cluster_size =
   let t0 = Sys.time () in
   let cl = Cluster.build hg ~max_cluster_size ~seed:config.Config.seed in
@@ -238,7 +224,7 @@ let run_clustered ?pool config hg device ~max_cluster_size =
   let delta = Config.delta_for config device in
   let ctx = Cost.context_of device ~delta hg in
   let sp = Recorder.span_begin "driver.refine" in
-  refine_flat config ctx st;
+  refine config ctx st;
   Recorder.span_end sp ~attrs:[ ("k", Json.Int coarse.k) ];
   let feasible = Cost.classify ctx st = Cost.Feasible in
   {

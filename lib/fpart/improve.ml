@@ -36,31 +36,6 @@ module Recorder = Fpart_obs.Recorder
 module Json = Fpart_obs.Json
 module Selfcheck = Fpart_check.Selfcheck
 
-(* Self-check wiring: paranoid installs a per-move state validator into
-   the engine and, when the delta-gain engine is active, a per-update
-   gain validator that cross-checks every delta-adjusted bucket gain
-   against the oracle; cheap (and up) validates the state once per
-   Improve() call. *)
-let engine_config t =
-  let cfg = Config.engine t.cfg in
-  if Selfcheck.at_least t.cfg.Config.selfcheck Selfcheck.Paranoid then
-    {
-      cfg with
-      Sanchis.on_move =
-        Some (fun st -> ignore (Selfcheck.validate ~where:"sanchis.move" st));
-      on_gain_update =
-        (match t.cfg.Config.gain_update with
-        | Sanchis.Recompute -> None
-        | Sanchis.Delta ->
-          let pin = t.cfg.Config.gain_mode = Sanchis.Pin_gain in
-          Some
-            (fun st ~cell ~target ~gain ->
-              ignore
-                (Selfcheck.validate_gain ~where:"sanchis.gain" st ~pin ~cell
-                   ~target ~gain)));
-    }
-  else cfg
-
 (* Flow refinement budget: corridor sweeps share the configured pass
    budget but are clamped — each sweep re-runs Dinic on every wired
    pair, so a handful already reaches the fixed point. *)
@@ -90,7 +65,7 @@ let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
     match refiner with
     | Config.Flow_refiner -> None
     | Config.Sanchis_refiner | Config.Hybrid_refiner ->
-      Some (Sanchis.improve st ~spec ~config:(engine_config t) ~eval)
+      Some (Sanchis.improve st ~spec ~config:(Config.engine t.cfg) ~eval)
   in
   (* The hybrid escalates to flow exactly when Sanchis stalled: a pass
      that retained zero moves means the gain buckets see no profitable
@@ -106,6 +81,7 @@ let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
         Some (Flow.Refine.refine_active (flow_config t) st ~active ~lower ~upper ~eval)
       | _ -> None)
   in
+  (* the per-move checks of the paranoid level ride in [Config.engine] *)
   if Selfcheck.at_least t.cfg.Config.selfcheck Selfcheck.Cheap then
     ignore (Selfcheck.validate ~where:"improve.boundary" st);
   (* After a Sanchis run the state sits at the retained best, so a

@@ -15,7 +15,7 @@
 val schema : string
 
 (** One measured quantity.  [name] is the trend key (e.g.
-    ["gain_update/table2/maintenance-moves-per-s"]); [higher_better]
+    ["fpart/figure3/sanchis-pair-pass/time_ns"]); [higher_better]
     orients the regression test. *)
 type row = {
   name : string;

@@ -14,8 +14,8 @@ module Vec = Hypergraph.Vec
    the applied moves (recorded only while observability is enabled).
    [sanchis.delta.updates] counts bucket entries the incremental engine
    actually relinked; [sanchis.delta.avoided] counts (neighbour,
-   direction) pairs whose accumulated delta was zero — each of those
-   would have been a full gain recomputation under [Recompute]. *)
+   direction) pairs whose accumulated delta was zero, so no relink was
+   needed. *)
 let c_improves = Obs.counter "sanchis.improve_calls"
 let c_passes = Obs.counter "sanchis.passes"
 let c_moves = Obs.counter "sanchis.moves"
@@ -27,7 +27,6 @@ let h_move_gain = Obs.histogram "sanchis.move_gain"
 
 
 type gain_mode = Cut_gain | Pin_gain
-type gain_update = Delta | Recompute
 
 type config = {
   gain_levels : int;
@@ -35,7 +34,6 @@ type config = {
   max_passes : int;
   stack_depth : int;
   gain_mode : gain_mode;
-  gain_update : gain_update;
   drift_limit : int option;
   tie_salt : int;
   bucket_discipline : Bucket.discipline;
@@ -50,7 +48,6 @@ let default_config =
     max_passes = 8;
     stack_depth = 4;
     gain_mode = Cut_gain;
-    gain_update = Delta;
     drift_limit = None;
     tie_salt = 0;
     bucket_discipline = Bucket.Lifo;
@@ -325,17 +322,6 @@ let remove_cell ctx v =
     if bi <> ai then Dirset.remove set ~dir:(dir_index ctx ai bi) v
   done
 
-let update_cell ctx v =
-  let ai = ctx.pos.(State.block_of ctx.st v) in
-  let set = set_for ctx v in
-  for bi = 0 to ctx.nb - 1 do
-    if bi <> ai then begin
-      let dir = dir_index ctx ai bi in
-      if Dirset.mem set ~dir v then
-        Dirset.update set ~dir v (primary_gain ctx v ctx.spec.active.(bi))
-    end
-  done
-
 (* Add net [e]'s change of [u]'s gain towards active index [yi] — its
    source count going [fx_old → fx_new], its target count
    [ty_old → ty_new], the span [span → span'] — to [u]'s delta. *)
@@ -344,6 +330,18 @@ let accum ctx ~pad ~span ~span' ~base yi ~fx_old ~fx_new ~ty_old ~ty_new =
   let g_new = net_gain ctx ~pad ~from_cnt:fx_new ~to_cnt:ty_new ~span:span' in
   if g_new <> g_old then
     ctx.delta.(base + yi) <- ctx.delta.(base + yi) + g_new - g_old
+
+(* Hand every bucketed gain of [u] (active index [xi]) to the hook. *)
+let report_gains ctx f u xi =
+  let set = set_for ctx u in
+  for yi = 0 to ctx.nb - 1 do
+    if yi <> xi then begin
+      let dir = dir_index ctx xi yi in
+      if Dirset.mem set ~dir u then
+        f ctx.st ~cell:u ~target:ctx.spec.active.(yi)
+          ~gain:(Dirset.gain_of set ~dir u)
+    end
+  done
 
 (* {2 Delta-gain neighbour update}
 
@@ -354,14 +352,14 @@ let accum ctx ~pad ~span ~span' ~base yi ~fx_old ~fx_new ~ty_old ~ty_new =
    and accumulates, per (neighbour, target), the exact per-net gain
    difference [gain_net(after) - gain_net(before)] shared with
    [State.cut_gain]/[pin_gain].  Pass 2 applies each neighbour's total
-   delta with one bucket relink per changed direction.
+   delta with one bucket relink per changed direction, then hands every
+   bucketed gain of that neighbour to the [on_gain_update] hook.
 
-   Bit-identity with [Recompute] relies on ordering: the recompute path
-   relinks a neighbour at its {e first} (net, pin) incidence (later
-   [update_cell] calls find an equal gain and no-op), with directions in
-   ascending active order — exactly the order pass 1 discovers cells
-   and pass 2 applies directions.  Delta-zero pairs are skipped, which
-   matches [Bucket_array.update]'s equal-gain no-op. *)
+   The relink order fixes the bucket layout, hence the move trajectory:
+   neighbours in first (net, pin) incidence order, each one's
+   directions in ascending active order, delta-zero pairs skipped (a
+   relink to an equal gain would be [Bucket_array.update]'s no-op
+   anyway).  [cli_tests/trajectory.t] pins the result. *)
 let apply_deltas ctx ~v ~a ~b =
   let st = ctx.st in
   let nb = ctx.nb in
@@ -377,8 +375,8 @@ let apply_deltas ctx ~v ~a ~b =
     (* Quiet net: in cut mode a net spanning ≥ 3 blocks before and
        after the move contributes 0 to every neighbour gain in both
        states, so the arithmetic is skipped — but its pins are still
-       marked, because first-incidence ordering is what keeps the
-       bucket layout identical to the recompute path. *)
+       marked: first-incidence order fixes the relink order, and every
+       touched neighbour's gains go to the hook. *)
     let quiet = cut_mode && span >= 3 && span' >= 3 in
     let pad = Hg.net_has_pad ctx.hg e in
     let pins = Hg.pins ctx.hg e in
@@ -454,16 +452,15 @@ let apply_deltas ctx ~v ~a ~b =
           ctx.delta.(base + yi) <- 0;
           let dir = dir_index ctx xi yi in
           if Dirset.mem set ~dir u then begin
-            let g = Dirset.gain_of set ~dir u + d in
-            Dirset.update set ~dir u g;
-            incr updates;
-            match ctx.cfg.on_gain_update with
-            | None -> ()
-            | Some f -> f st ~cell:u ~target:ctx.spec.active.(yi) ~gain:g
+            Dirset.update set ~dir u (Dirset.gain_of set ~dir u + d);
+            incr updates
           end
         end
       end
-    done
+    done;
+    match ctx.cfg.on_gain_update with
+    | None -> ()
+    | Some f -> report_gains ctx f u xi
   done;
   Obs.add c_delta_avoided !avoided;
   Obs.add c_delta_updates !updates
@@ -616,24 +613,21 @@ let fill_buckets ctx =
   refresh_all_directions ctx
 
 (* Apply the move [v] -> [b]: pop [v] from its buckets, update the
-   state (buffering the changed-nets summary when the delta engine is
-   on), lock and record it, and retire any directions the size change
-   closed.  Returns the source block. *)
+   state (buffering the changed-nets summary for [apply_deltas]), lock
+   and record it, and retire any directions the size change closed.
+   Returns the source block. *)
 let apply_move ctx v b =
   let st = ctx.st in
   let a = State.block_of st v in
   remove_cell ctx v;
-  (match ctx.cfg.gain_update with
-  | Recompute -> State.move st v b
-  | Delta ->
-    ctx.d_len <- 0;
-    State.move st v b ~on_net:(fun e ~ca ~cb ~span ->
-        let i = ctx.d_len in
-        ctx.d_nets.(i) <- e;
-        ctx.d_ca.(i) <- ca;
-        ctx.d_cb.(i) <- cb;
-        ctx.d_span.(i) <- span;
-        ctx.d_len <- i + 1));
+  ctx.d_len <- 0;
+  State.move st v b ~on_net:(fun e ~ca ~cb ~span ->
+      let i = ctx.d_len in
+      ctx.d_nets.(i) <- e;
+      ctx.d_ca.(i) <- ca;
+      ctx.d_cb.(i) <- cb;
+      ctx.d_span.(i) <- span;
+      ctx.d_len <- i + 1);
   ctx.locked.(v) <- true;
   ctx.moved_cell.(ctx.n_moved) <- v;
   ctx.moved_from.(ctx.n_moved) <- a;
@@ -646,25 +640,6 @@ let apply_move ctx v b =
   done;
   refresh_directions_of ctx a b;
   a
-
-(* Refresh the gains of the unlocked neighbours of [v] after its move
-   [a] -> [b], through the configured maintenance path. *)
-let refresh_neighbours ctx ~v ~a ~b =
-  match ctx.cfg.gain_update with
-  | Delta -> apply_deltas ctx ~v ~a ~b
-  | Recompute ->
-    let st = ctx.st in
-    Array.iter
-      (fun e ->
-        Array.iter
-          (fun u ->
-            if
-              u <> v
-              && (not ctx.locked.(u))
-              && ctx.pos.(State.block_of st u) >= 0
-            then update_cell ctx u)
-          (Hg.pins ctx.hg e))
-      (Hg.nets_of ctx.hg v)
 
 (* Put the cells popped as illegal back into their buckets: sizes
    changed, they may be legal now.  Newest stash entries first, the
@@ -718,7 +693,7 @@ let run_pass ctx ~collect ~semi ~infeasible =
         (* before the neighbour update, so every unlocked active cell
            is back in its buckets when the gains are adjusted *)
         reinsert_stash ctx;
-        refresh_neighbours ctx ~v ~a ~b;
+        apply_deltas ctx ~v ~a ~b;
         (match ctx.cfg.on_move with None -> () | Some f -> f st);
         let value = ctx.eval st in
         if Cost.compare_value value !best_value < 0 then begin
@@ -827,54 +802,3 @@ let improve st ~spec ~config ~eval =
     moves_retained = !retained;
     restarts = !restarts;
   }
-
-(* {2 Gain-maintenance benchmark driver}
-
-   Applies a scripted, selection-free move sequence through the real
-   per-move machinery — bucket pop, [State.move], locking, direction
-   retirement and the configured neighbour-gain refresh — so the wall
-   clock measures gain maintenance without the selection, lookahead,
-   evaluation and rewind costs that an [improve] run shares between
-   both [gain_update] modes.  Cells are visited in id order with a
-   seed-rotated target; a pass ends when every movable cell is locked
-   or illegal, and the buckets are rebuilt for the next pass.  The
-   script depends only on (state, spec, seed), never on the gain
-   values, so [Delta] and [Recompute] apply bit-identical sequences.
-   Returns the applied move count and the seconds spent inside the
-   neighbour refresh itself: the scripted walk, bucket rebuilds and
-   [State.move] are identical setup work in both modes, so only the
-   refresh belongs in the subsystem's clock. *)
-let drive_gain_maintenance st ~spec ~config ~moves ~seed =
-  let ctx = make_ctx st spec config (fun _ -> assert false) in
-  let nb = ctx.nb in
-  (* the target rotation, normalised so a negative seed still picks a
-     block other than the source *)
-  let shift i =
-    let r = (seed + i) mod (nb - 1) in
-    if r < 0 then r + nb - 1 else r
-  in
-  let applied = ref 0 in
-  let refresh_s = ref 0.0 in
-  let progress = ref true in
-  while !applied < moves && !progress do
-    progress := false;
-    fill_buckets ctx;
-    let i = ref 0 in
-    while !applied < moves && !i < Array.length ctx.members do
-      let u = ctx.members.(!i) in
-      let a = State.block_of st u in
-      if not ctx.locked.(u) then begin
-        let b = ctx.spec.active.((ctx.pos.(a) + 1 + shift !applied) mod nb) in
-        if b <> a && cell_legal ctx u b then begin
-          let a = apply_move ctx u b in
-          let t0 = Fpart_obs.Clock.now () in
-          refresh_neighbours ctx ~v:u ~a ~b;
-          refresh_s := !refresh_s +. (Fpart_obs.Clock.now () -. t0);
-          incr applied;
-          progress := true
-        end
-      end;
-      incr i
-    done
-  done;
-  (!applied, !refresh_s)

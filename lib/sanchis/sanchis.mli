@@ -31,20 +31,6 @@ type gain_mode =
                   total pin count, which couples move selection directly
                   to the I/O constraint. *)
 
-(** How neighbour gains are maintained after an applied move. *)
-type gain_update =
-  | Delta
-      (** Incremental critical-net updates: [State.move] reports the
-          per-net (count, span) transitions and only the affected
-          (neighbour, direction) bucket entries are adjusted by exact
-          per-net deltas.  Bit-identical to [Recompute] — same gains,
-          same bucket order, same selected moves — at a fraction of the
-          cost.  The default. *)
-  | Recompute
-      (** Escape hatch: recompute every neighbour's gain towards every
-          active block from scratch (the historical behaviour),
-          O(degree) per neighbour per direction. *)
-
 type config = {
   gain_levels : int;
       (** Depth of the Krishnamurthy lookahead used as tie-break:
@@ -55,7 +41,6 @@ type config = {
   max_passes : int;    (** Pass budget per execution (≥ 1). *)
   stack_depth : int;   (** [D_stack]; 0 disables stack restarts. *)
   gain_mode : gain_mode;
-  gain_update : gain_update;
   drift_limit : int option;
       (** The paper's second future-work idea: abort a pass after this
           many consecutive moves without improving on the pass best
@@ -75,16 +60,19 @@ type config = {
           paranoid self-check level installs a per-move validator here.
           The hook must not mutate the state. *)
   on_gain_update : (Partition.State.t -> cell:int -> target:int -> gain:int -> unit) option;
-      (** Hook invoked for every bucket gain the {!Delta} engine
-          adjusts: [cell]'s gain towards global block [target] became
-          [gain].  The paranoid self-check level cross-checks each
-          against the reference oracle.  Never fired under
-          {!Recompute}.  Must not mutate the state. *)
+      (** Hook invoked after every applied move, once per bucketed gain
+          of every unlocked active neighbour of the moved cell — every
+          gain the move could have changed, not only the ones it did:
+          [cell]'s bucket gain towards global block [target] is [gain].
+          Neighbour gains are maintained incrementally (per-net
+          critical-net deltas), so this is where the paranoid
+          self-check level compares them with the reference oracle.
+          [None] (default) costs one match per neighbour.  Must not
+          mutate the state. *)
 }
 
 (** Paper values: gain levels 2, scan limit 16, 8 passes per execution,
-    stack depth 4, cut gain, delta updates, no drift limit, salt 0, no
-    hooks. *)
+    stack depth 4, cut gain, no drift limit, salt 0, no hooks. *)
 val default_config : config
 
 (** Which blocks take part, and the per-block size windows of the
@@ -124,28 +112,3 @@ val improve :
   config:config ->
   eval:(Partition.State.t -> Partition.Cost.value) ->
   report
-
-
-(** [drive_gain_maintenance st ~spec ~config ~moves ~seed] is the
-    benchmark driver for the neighbour-gain maintenance subsystem (see
-    docs/PERFORMANCE.md).  It applies up to [moves] scripted moves
-    through the engine's real per-move machinery — bucket pop,
-    {!Partition.State.move}, locking, direction retirement and the
-    configured [config.gain_update] refresh — but performs no
-    selection, lookahead, evaluation or rewinding, and clocks only
-    the neighbour refresh, so the returned time compares [Delta] and
-    [Recompute] on gain maintenance alone.  The move script depends
-    only on [(st, spec, seed)], never on gain values: both modes apply
-    bit-identical sequences.  Mutates [st]; returns
-    [(applied, refresh_seconds)] — the number of moves actually applied
-    (the script stops early once no cell has a legal scripted move) and
-    the seconds spent inside the configured gain refresh.
-
-    @raise Invalid_argument on the same [spec] errors as {!improve}. *)
-val drive_gain_maintenance :
-  Partition.State.t ->
-  spec:spec ->
-  config:config ->
-  moves:int ->
-  seed:int ->
-  int * float

@@ -137,6 +137,11 @@ let request_of_json j =
     | None -> fail "missing field \"device\""
   in
   let* delta = lift (opt_member "delta" jfloat j) in
+  let* () =
+    match delta with
+    | Some d when not (d > 0.0 && d <= 1.0) -> fail "\"delta\" must be in (0, 1]"
+    | Some _ | None -> Ok ()
+  in
   let* runs = lift (opt_member "runs" Json.int j) in
   let runs = Option.value ~default:1 runs in
   let* () = if runs >= 1 then Ok () else fail "\"runs\" must be >= 1" in

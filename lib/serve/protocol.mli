@@ -30,7 +30,7 @@ type request = {
   id : string;
   netlist : netlist_src;
   device : string;
-  delta : float option;
+  delta : float option;  (** Filling ratio; rejected outside (0, 1]. *)
   runs : int;  (** Multi-start breadth; default 1. *)
   seed : int option;
   max_passes : int option;

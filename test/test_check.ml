@@ -263,6 +263,37 @@ let test_driver_selfcheck_clean () =
       Alcotest.(check int) "no violations" viol0 (Selfcheck.violations_seen ()))
     [ (Selfcheck.Cheap, 160); (Selfcheck.Paranoid, 48) ]
 
+(* [Driver.refine] (mlevel uncoarsening, --cluster refinement, the ECO
+   warm start) takes its engine hooks from [Config.engine], so at the
+   paranoid level it checks gains as well as the state after each move:
+   more checks than one per move plus the boundary check. *)
+let test_refine_paranoid_checks_gains () =
+  let hg = Tg.circuit ~cells:120 ~pads:15 11 in
+  let device = Device.xc2064 in
+  let r = Fpart.Driver.run hg device in
+  let k = r.Fpart.Driver.k in
+  let assign =
+    Array.mapi
+      (fun v b -> if v mod 5 = 0 then (b + 1) mod k else b)
+      r.Fpart.Driver.assignment
+  in
+  let st = State.create hg ~k ~assign:(fun v -> assign.(v)) in
+  let ctx = Cost.context_of device ~delta:r.Fpart.Driver.delta hg in
+  let config = { Fpart.Config.default with selfcheck = Selfcheck.Paranoid } in
+  let moves = Fpart_obs.Metrics.counter "sanchis.moves" in
+  let moves0 = Fpart_obs.Metrics.counter_value moves in
+  let checks0 = Selfcheck.checks_run () in
+  let viol0 = Selfcheck.violations_seen () in
+  Fpart.Driver.refine config ctx st;
+  let moved = Fpart_obs.Metrics.counter_value moves - moves0 in
+  let checks = Selfcheck.checks_run () - checks0 in
+  Alcotest.(check bool) "refine moved cells" true (moved > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d checks for %d moves: gains checked too" checks moved)
+    true
+    (checks > moved + 1);
+  Alcotest.(check int) "no violations" viol0 (Selfcheck.violations_seen ())
+
 (* ------------------------------------------------------------------ *)
 (* Partition.Check consistency cross-validation (re-exported)          *)
 
@@ -301,6 +332,8 @@ let () =
           Alcotest.test_case "levels" `Quick test_selfcheck_levels;
           Alcotest.test_case "validate clean state" `Quick test_selfcheck_validate_clean;
           Alcotest.test_case "driver under selfcheck" `Quick test_driver_selfcheck_clean;
+          Alcotest.test_case "paranoid refine checks gains" `Quick
+            test_refine_paranoid_checks_gains;
         ] );
       ( "partition-check",
         [

@@ -25,7 +25,17 @@ let test_s_max () =
   Alcotest.(check int) "derated 3090" 288 (Device.s_max Device.xc3090 ~delta:0.9);
   Alcotest.(check int) "full 2064" 64 (Device.s_max Device.xc2064 ~delta:1.0);
   Alcotest.check_raises "delta 0" (Invalid_argument "Device.s_max: delta out of (0,1]")
-    (fun () -> ignore (Device.s_max Device.xc3020 ~delta:0.0))
+    (fun () -> ignore (Device.s_max Device.xc3020 ~delta:0.0));
+  (* NaN fails every comparison, so a range test written as
+     [delta <= 0 || delta > 1] would let it through *)
+  Alcotest.check_raises "delta nan" (Invalid_argument "Device.s_max: delta out of (0,1]")
+    (fun () -> ignore (Device.s_max Device.xc3020 ~delta:Float.nan));
+  Alcotest.check_raises "lower bound, delta nan"
+    (Invalid_argument "Device.lower_bound: delta out of (0,1]")
+    (fun () ->
+      ignore
+        (Device.lower_bound Device.xc3020 ~delta:Float.nan ~total_size:100
+           ~total_pads:10))
 
 let test_paper_delta () =
   Alcotest.(check (float 0.0)) "xc3000" 0.9 (Device.paper_delta Device.xc3020);

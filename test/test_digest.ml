@@ -94,6 +94,54 @@ let test_config_digest_tracks_knobs () =
   Alcotest.(check bool) "extra tag separates frontends" true
     (d0 <> Fpart.Config.digest ~extra:"algo=kwayx" Fpart.Config.default)
 
+(* Every result-relevant field of [Config.t] moves the digest, each edit
+   to a different value; [jobs] and [selfcheck], which never change a
+   partition, leave it alone. *)
+let test_config_digest_covers_fields () =
+  let module C = Fpart.Config in
+  let d = C.default in
+  let cost f = { d with C.cost = f d.C.cost } in
+  let relevant =
+    [
+      ("delta", { d with C.delta = Some 0.8 });
+      ("sigma1", { d with C.sigma1 = 0.7 });
+      ("sigma2", { d with C.sigma2 = 0.7 });
+      ("n_small", { d with C.n_small = 16 });
+      ("lambda_s", cost (fun c -> { c with Partition.Cost.lambda_s = 0.5 }));
+      ("lambda_t", cost (fun c -> { c with Partition.Cost.lambda_t = 0.5 }));
+      ("lambda_r", cost (fun c -> { c with Partition.Cost.lambda_r = 0.2 }));
+      ("lambda_f", cost (fun c -> { c with Partition.Cost.lambda_f = 0.5 }));
+      ("eps_max_multi", { d with C.eps_max_multi = 1.1 });
+      ("eps_max_two", { d with C.eps_max_two = 1.1 });
+      ("eps_min_multi", { d with C.eps_min_multi = 0.4 });
+      ("eps_min_two", { d with C.eps_min_two = 0.9 });
+      ("stack_depth", { d with C.stack_depth = 5 });
+      ("max_passes", { d with C.max_passes = 9 });
+      ("gain_levels", { d with C.gain_levels = 3 });
+      ( "bucket_discipline",
+        { d with C.bucket_discipline = Gainbucket.Bucket_array.Fifo } );
+      ("scan_limit", { d with C.scan_limit = 17 });
+      ("gain_mode", { d with C.gain_mode = Sanchis.Pin_gain });
+      ("drift_limit", { d with C.drift_limit = Some 100 });
+      ("random_initial", { d with C.random_initial = true });
+      ("cluster_size", { d with C.cluster_size = Some 4 });
+      ("refiner", { d with C.refiner = C.Hybrid_refiner });
+      ("seed", { d with C.seed = 99 });
+    ]
+  in
+  let d0 = C.digest d in
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check bool) (name ^ " moves the digest") true (C.digest c <> d0))
+    relevant;
+  let digests = List.map (fun (_, c) -> C.digest c) relevant in
+  Alcotest.(check int) "no two edits collide" (List.length digests)
+    (List.length (List.sort_uniq compare digests));
+  Alcotest.(check string) "jobs leaves the digest" d0
+    (C.digest { d with C.jobs = 4 });
+  Alcotest.(check string) "selfcheck leaves the digest" d0
+    (C.digest { d with C.selfcheck = Fpart_check.Selfcheck.Paranoid })
+
 let () =
   Alcotest.run "digest"
     [
@@ -106,6 +154,8 @@ let () =
         [
           Alcotest.test_case "knob sensitivity" `Quick
             test_config_digest_tracks_knobs;
+          Alcotest.test_case "every field covered" `Quick
+            test_config_digest_covers_fields;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

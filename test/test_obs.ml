@@ -937,10 +937,10 @@ let test_canonical_digests_pinned () =
     "9a5dd5597aed719691dc235915b295d3"
     (Hypergraph.Hgraph.digest h);
   Alcotest.(check string) "config digest pinned"
-    "fd629984474776c9e400fbd91470ccec"
+    "108d87658237c61deb447b98eef3b003"
     (Fpart.Config.digest Fpart.Config.default);
   Alcotest.(check string) "config digest with extra pinned"
-    "a1ed4b3dc0eb5c1cb746f57729523dad"
+    "f499c72b9ad8a9777511602143dedc31"
     (Fpart.Config.digest ~extra:"algo=fm" Fpart.Config.default)
 
 let test_regress_groups_by_workload () =

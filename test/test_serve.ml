@@ -83,6 +83,21 @@ let test_op_of_line () =
     | _ -> Alcotest.fail "expected a generate source")
   | Ok _ -> Alcotest.fail "expected a partition request"
   | Error e -> Alcotest.failf "parse: %s" e);
+  (* a filling ratio outside (0, 1] is a request error, not a crash in
+     the worker *)
+  List.iter
+    (fun delta ->
+      match
+        Protocol.op_of_line
+          (Printf.sprintf
+             "{\"id\":\"d\",\"netlist\":{\"generate\":\"40x6\"},\"device\":\"XC2064\",\"delta\":%s}"
+             delta)
+      with
+      | Error e ->
+        Alcotest.(check string) ("delta " ^ delta)
+          "request d: \"delta\" must be in (0, 1]" e
+      | Ok _ -> Alcotest.failf "delta %s accepted" delta)
+    [ "0"; "1.5"; "-0.5" ];
   match Protocol.op_of_line "{\"op\":\"partition\"" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed line accepted"
