@@ -124,7 +124,8 @@ let reset () = Domain.DLS.get watermark_key := zero_watermark
 let default_sample () =
   let st = Gc.quick_stat () in
   {
-    minor_words = st.Gc.minor_words;
+    (* quick_stat refreshes minor_words only at a minor collection *)
+    minor_words = Gc.minor_words ();
     promoted_words = st.Gc.promoted_words;
     major_words = st.Gc.major_words;
     minor_gcs = st.Gc.minor_collections;

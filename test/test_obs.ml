@@ -570,6 +570,17 @@ let test_resource_sample_monotone () =
     (d.Resource.d_minor_words >= 0.0 && d.Resource.d_major_words >= 0.0
    && d.Resource.d_minor_gcs >= 0 && d.Resource.d_major_gcs >= 0)
 
+let test_resource_alloc_exact () =
+  (* right after a minor collection, a 1000-cell list (3 words a cons
+     cell) must show up in the delta without waiting for the next one *)
+  Gc.minor ();
+  let a = Resource.sample () in
+  let l = Sys.opaque_identity (List.init 1000 Fun.id) in
+  let b = Resource.sample () in
+  ignore (Sys.opaque_identity l);
+  let alloc = Resource.alloc_words (Resource.delta ~before:a ~after:b) in
+  if alloc < 3000.0 then Alcotest.failf "alloc_words %.0f < 3000" alloc
+
 let test_resource_delta_add () =
   let s = scripted_source () in
   let a = s () and b = s () and c = s () in
@@ -1128,6 +1139,8 @@ let () =
         [
           Alcotest.test_case "default sampler monotone" `Quick
             test_resource_sample_monotone;
+          Alcotest.test_case "allocation exact between minor collections" `Quick
+            test_resource_alloc_exact;
           Alcotest.test_case "delta arithmetic" `Quick test_resource_delta_add;
           Alcotest.test_case "span records and counters" `Quick
             test_resource_span_records;
