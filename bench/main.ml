@@ -167,7 +167,7 @@ let bench_fbb =
               ~seed_t:(Hypergraph.Hgraph.num_cells hg - 1)
               ~lo:100 ~hi:160 ~rng)))
 
-(* Extensions: clustering pre-pass, clustered driver, heterogeneous. *)
+(* Extensions: clustering pre-pass and the clustered driver. *)
 let bench_cluster_build =
   Test.make ~name:"ext/cluster-build-c3540"
     (Staged.stage (fun () ->
@@ -178,10 +178,6 @@ let bench_fpart_clustered =
     (Staged.stage (fun () ->
          let config = { Fpart.Config.default with cluster_size = Some 4 } in
          ignore (Fpart.Driver.run ~config (Lazy.force c3540_3000) Device.xc3020)))
-
-let bench_hetero =
-  Test.make ~name:"ext/hetero-c3540"
-    (Staged.stage (fun () -> ignore (Fpart.Hetero.run (Lazy.force c3540_3000))))
 
 (* {2 Sections} *)
 
@@ -326,9 +322,9 @@ let overhead_sections =
   ]
 
 (* Refinement-backend comparison (docs/FLOW_REFINEMENT.md): the same
-   workload through the paper's Sanchis passes, the corridor max-flow
-   refiner and the stall-driven hybrid, judged devices first and cut
-   second — a backend that saves nets by spending a device is worse.
+   workload through the paper's Sanchis passes and the stall-driven
+   flow hybrid, judged devices first and cut second — a backend that
+   saves nets by spending a device is worse.
    One Driver.run per backend per workload: the rows are
    deterministic quality figures, not timings.  The committed rows
    include a workload where the hybrid strictly beats pure Sanchis
@@ -348,7 +344,6 @@ let refiner_table =
           Fpart.Driver.run ~config:{ base with Fpart.Config.refiner } hg device
         in
         let s = run Fpart.Config.Sanchis_refiner
-        and f = run Fpart.Config.Flow_refiner
         and h = run Fpart.Config.Hybrid_refiner in
         let r key value unit_ higher_better =
           row (Printf.sprintf "refiner/table2/%s/%s" workload key)
@@ -356,10 +351,8 @@ let refiner_table =
         in
         [
           r "k_sanchis" s.Fpart.Driver.k "devices" false;
-          r "k_flow" f.Fpart.Driver.k "devices" false;
           r "k_hybrid" h.Fpart.Driver.k "devices" false;
           r "cut_sanchis" s.Fpart.Driver.cut "nets" false;
-          r "cut_flow" f.Fpart.Driver.cut "nets" false;
           r "cut_hybrid" h.Fpart.Driver.cut "nets" false;
           r "hybrid_gain" (s.Fpart.Driver.cut - h.Fpart.Driver.cut) "nets" true;
         ])
@@ -393,7 +386,6 @@ let sections =
       bench_fbb;
       bench_cluster_build;
       bench_fpart_clustered;
-      bench_hetero;
     ]
   @ (refiner_table :: overhead_sections)
 

@@ -1,4 +1,5 @@
-(* fpart: partition a BLIF netlist onto copies of an FPGA device.
+(* fpart: partition a netlist (BLIF, structural Verilog or XNF) onto
+   copies of an FPGA device.
 
    Usage:
      fpart CIRCUIT.blif --device XC3020 [--delta 0.9] [--algo fpart]
@@ -11,36 +12,11 @@ open Cmdliner
 
 let load_circuit input generate seed =
   match (input, generate) with
-  | Some path, None -> (
-    (* format by extension: .v = structural Verilog, everything else BLIF *)
-    if Filename.check_suffix path ".v" then
-      match Netlist.Verilog.parse_file path with
-      | Ok m -> Ok (m.Netlist.Verilog.mod_name, m.Netlist.Verilog.graph)
-      | Error e -> Error (Printf.sprintf "cannot parse %s: %s" path e)
-    else
-      match Netlist.Blif.parse_file path with
-      | Ok m -> Ok (m.Netlist.Blif.model_name, m.Netlist.Blif.graph)
-      | Error e -> Error (Printf.sprintf "cannot parse %s: %s" path e))
-  | None, Some spec when String.length spec > 5 && String.sub spec 0 5 = "rent:"
-    -> (
-    (* rent:CELLS — Rent-rule family with pads = 3·sqrt(cells), the
-       scale regime of the multilevel engine *)
-    match int_of_string_opt (String.sub spec 5 (String.length spec - 5)) with
-    | Some cells when cells >= 64 ->
-      let spec = Netlist.Generator.rent_spec ~name:"rent" ~cells ~seed in
-      Ok ("generated", Netlist.Generator.generate spec)
-    | _ -> Error "bad --generate spec (expected rent:CELLS with CELLS >= 64)")
-  | None, Some spec -> (
-    match String.split_on_char 'x' spec with
-    | [ cells; pads ] -> (
-      match (int_of_string_opt cells, int_of_string_opt pads) with
-      | Some cells, Some pads when cells >= 2 && pads >= 1 ->
-        let spec =
-          Netlist.Generator.default_spec ~name:"gen" ~cells ~pads ~seed
-        in
-        Ok ("generated", Netlist.Generator.generate spec)
-      | _ -> Error "bad --generate spec (expected CELLSxPADS or rent:CELLS)")
-    | _ -> Error "bad --generate spec (expected CELLSxPADS or rent:CELLS)")
+  | Some path, None ->
+    Result.map_error (Printf.sprintf "cannot parse %s: %s" path) (Netlist.Load.file path)
+  | None, Some spec ->
+    Result.map_error (Printf.sprintf "bad --generate spec (%s)")
+      (Netlist.Load.generate spec ~seed)
   | Some _, Some _ -> Error "give either an input file or --generate, not both"
   | None, None -> Error "no input: give a BLIF file or --generate CELLSxPADS"
 
@@ -335,7 +311,11 @@ let main input generate device_name delta algo engine seed runs cluster jobs
     1
 
 let input =
-  Arg.(value & pos 0 (some file) None & info [] ~docv:"CIRCUIT.blif" ~doc:"Input BLIF netlist.")
+  Arg.(
+    value
+    & pos 0 (some file) None
+    & info [] ~docv:"CIRCUIT.blif"
+        ~doc:"Input netlist: structural Verilog (.v), XNF (.xnf), otherwise BLIF.")
 
 let generate =
   Arg.(
@@ -440,13 +420,12 @@ let refiner =
         (enum
            [
              ("sanchis", Fpart.Config.Sanchis_refiner);
-             ("flow", Fpart.Config.Flow_refiner);
              ("hybrid", Fpart.Config.Hybrid_refiner);
            ])
         Fpart.Config.Sanchis_refiner
     & info [ "refiner" ] ~docv:"BACKEND"
         ~doc:
-          "Improvement backend for the Improve() calls and the uncoarsening refinement: $(b,sanchis) (default, the paper's gain-bucket passes), $(b,flow) (corridor max-flow min-cut refinement between adjacent block pairs) or $(b,hybrid) (Sanchis first, flow on the pairs where a Sanchis pass retained zero moves). All backends respect the feasible move windows; flow proposals apply only when they improve the solution value without growing the cut (fpart only).")
+          "Improvement backend for the Improve() calls and the uncoarsening refinement: $(b,sanchis) (default, the paper's gain-bucket passes) or $(b,hybrid) (Sanchis first, then corridor max-flow min-cut sweeps on the blocks where the Sanchis passes retained zero moves). Both respect the feasible move windows; flow proposals apply only when they improve the solution value without growing the cut (fpart only).")
 
 let output =
   Arg.(

@@ -27,13 +27,14 @@
       oracle recomputation, the self-check must stay clean, and its
       quality must stay in the flat driver's class (never infeasible
       where flat is feasible, never more than 2 extra devices);
-   6. refiner differential — the sanchis, flow and hybrid improvement
+   6. refiner differential — the sanchis and hybrid improvement
       backends each drive the circuit end to end (paranoid self-checks
       on the smaller rounds): every result must match the oracle
-      recomputation and end feasible; then, as a refine-step
-      differential on the same projected state, the hybrid refinement
+      recomputation and end feasible; then, as refine-step
+      differentials on the same projected state, the hybrid refinement
       (the identical Sanchis schedule plus cut-non-increasing flow
-      passes) must never end with a worse cut than pure Sanchis;
+      passes) must never end with a worse cut than pure Sanchis, and a
+      corridor flow sweep alone must never grow the cut;
    7. ECO warm start — a random one-cell netlist edit is re-legalized
       from the cold partition's partfile: a warm answer must be
       feasible and oracle-consistent, a cold fallback must still
@@ -236,10 +237,11 @@ let check_mlevel rng hg =
 
 (* Comparison 6: the refiner matrix.  End-to-end runs cannot promise a
    cut order between backends (their trajectories diverge after the
-   first Improve call), so the cut assertion is made where it is
-   guaranteed: one [Driver.refine] step applied to copies of the same
-   state, where hybrid = the identical Sanchis refinement followed by
-   flow passes that only ever apply cut-non-increasing proposals. *)
+   first Improve call), so the cut assertions are made where they are
+   guaranteed: refine steps applied to copies of the same state, where
+   hybrid = the identical Sanchis refinement followed by flow passes
+   that only ever apply cut-non-increasing proposals, and a bare flow
+   sweep under the same strict windows never grows the cut. *)
 let check_refiner rng hg =
   let device = device_of_name (Sm.choose rng devices) in
   let seed = Sm.int rng 0xFFFF in
@@ -273,32 +275,40 @@ let check_refiner rng hg =
   match run Fpart.Config.Sanchis_refiner with
   | Error e -> Divergence e
   | Ok rs -> (
-    match run Fpart.Config.Flow_refiner with
+    match run Fpart.Config.Hybrid_refiner with
     | Error e -> Divergence e
-    | Ok _ -> (
-      match run Fpart.Config.Hybrid_refiner with
-      | Error e -> Divergence e
-      | Ok _ ->
-        let delta = Fpart.Config.delta_for Fpart.Config.default device in
-        let ctx = Partition.Cost.context_of device ~delta hg in
-        let refined refiner =
-          let st = Fpart.Driver.final_state rs hg in
-          Fpart.Driver.refine { Fpart.Config.default with seed; refiner } ctx st;
-          State.cut_size st
-        in
-        let cut_sanchis = refined Fpart.Config.Sanchis_refiner in
-        let cut_flow = refined Fpart.Config.Flow_refiner in
-        let cut_hybrid = refined Fpart.Config.Hybrid_refiner in
-        let cut_input = State.cut_size (Fpart.Driver.final_state rs hg) in
-        if cut_hybrid > cut_sanchis then
-          Divergence
-            (Printf.sprintf "hybrid refine cut %d > sanchis refine cut %d"
-               cut_hybrid cut_sanchis)
-        else if cut_flow > cut_input then
-          Divergence
-            (Printf.sprintf "flow refine grew the cut: %d > input %d" cut_flow
-               cut_input)
-        else Ok_round))
+    | Ok _ ->
+      let config = { Fpart.Config.default with seed } in
+      let delta = Fpart.Config.delta_for config device in
+      let ctx = Partition.Cost.context_of device ~delta hg in
+      let refined refiner =
+        let st = Fpart.Driver.final_state rs hg in
+        Fpart.Driver.refine { config with refiner } ctx st;
+        State.cut_size st
+      in
+      let cut_sanchis = refined Fpart.Config.Sanchis_refiner in
+      let cut_hybrid = refined Fpart.Config.Hybrid_refiner in
+      let st = Fpart.Driver.final_state rs hg in
+      let cut_input = State.cut_size st in
+      let k = State.k st in
+      let eval st =
+        Partition.Cost.evaluate config.Fpart.Config.cost ctx st ~remainder:None
+          ~step_k:k
+      in
+      ignore
+        (Flow.Refine.refine_active (Fpart.Config.flow config) st
+           ~active:(Array.init k Fun.id) ~lower:(Array.make k 0)
+           ~upper:(Array.make k ctx.Partition.Cost.s_max) ~eval);
+      let cut_flow = State.cut_size st in
+      if cut_hybrid > cut_sanchis then
+        Divergence
+          (Printf.sprintf "hybrid refine cut %d > sanchis refine cut %d"
+             cut_hybrid cut_sanchis)
+      else if cut_flow > cut_input then
+        Divergence
+          (Printf.sprintf "flow refine grew the cut: %d > input %d" cut_flow
+             cut_input)
+      else Ok_round)
 
 (* Comparison 7: the ECO warm path.  Partition cold, apply a random
    small netlist edit, re-legalize from the stale partfile.  A [Warm]

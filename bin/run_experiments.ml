@@ -95,15 +95,13 @@ let refiner =
     Arg.enum
       [
         ("sanchis", Fpart.Config.Sanchis_refiner);
-        ("flow", Fpart.Config.Flow_refiner);
         ("hybrid", Fpart.Config.Hybrid_refiner);
       ]
   in
   let doc =
     "Improvement backend behind the FPART runs: $(b,sanchis) (the \
-     paper's gain-bucket passes), $(b,flow) (corridor max-flow \
-     refinement) or $(b,hybrid) (Sanchis with flow escalation on \
-     stalled pairs)."
+     paper's gain-bucket passes) or $(b,hybrid) (Sanchis with corridor \
+     max-flow escalation on stalled pairs)."
   in
   Arg.(value & opt refiner_conv Fpart.Config.Sanchis_refiner
        & info [ "refiner" ] ~docv:"BACKEND" ~doc)

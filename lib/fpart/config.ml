@@ -1,13 +1,11 @@
-type refiner = Sanchis_refiner | Flow_refiner | Hybrid_refiner
+type refiner = Sanchis_refiner | Hybrid_refiner
 
 let refiner_name = function
   | Sanchis_refiner -> "sanchis"
-  | Flow_refiner -> "flow"
   | Hybrid_refiner -> "hybrid"
 
 let refiner_of_string = function
   | "sanchis" -> Some Sanchis_refiner
-  | "flow" -> Some Flow_refiner
   | "hybrid" -> Some Hybrid_refiner
   | _ -> None
 
@@ -91,6 +89,8 @@ let engine t =
                   ~target ~gain))
        else None);
   }
+
+let flow t = { Flow.Refine.default_config with max_passes = min 4 t.max_passes }
 
 let free_space t ~s_max ~t_max ~size ~pins =
   (t.sigma1 *. (float_of_int (s_max - size) /. float_of_int s_max))

@@ -20,17 +20,16 @@
     post-projection refinement use:
 
     - [Sanchis_refiner] — the paper's gain-bucket passes (default);
-    - [Flow_refiner] — corridor max-flow min-cut refinement
-      ({!Flow.Refine}) between quotient-adjacent block pairs;
-    - [Hybrid_refiner] — Sanchis passes first, then flow passes when
-      the Sanchis pass retained zero moves (the stall signal).
+    - [Hybrid_refiner] — Sanchis passes first, then corridor max-flow
+      min-cut sweeps ({!Flow.Refine}) when the Sanchis passes retained
+      zero moves (the stall signal).
 
-    All three respect the same feasible move windows; flow proposals
+    Both respect the same feasible move windows; flow proposals
     additionally apply only when they improve the lexicographic value
     without growing the cut.  See docs/FLOW_REFINEMENT.md. *)
-type refiner = Sanchis_refiner | Flow_refiner | Hybrid_refiner
+type refiner = Sanchis_refiner | Hybrid_refiner
 
-(** CLI-facing names: ["sanchis"], ["flow"], ["hybrid"]. *)
+(** CLI-facing names: ["sanchis"], ["hybrid"]. *)
 val refiner_name : refiner -> string
 
 val refiner_of_string : string -> refiner option
@@ -70,9 +69,8 @@ type t = {
           hypergraph, projects back and refines flat.  [None]
           (published behaviour) partitions the flat netlist. *)
   refiner : refiner;
-      (** Improvement backend: Sanchis gain buckets (published),
-          corridor max-flow, or the hybrid escalation.  Default
-          [Sanchis_refiner]. *)
+      (** Improvement backend: Sanchis gain buckets (published) or the
+          hybrid's flow escalation.  Default [Sanchis_refiner]. *)
   seed : int;             (** PRNG seed for deterministic tie-breaks. *)
   jobs : int;
       (** Domain budget for the execution layer ([Fpart_exec]): the
@@ -101,6 +99,12 @@ val delta_for : t -> Device.t -> float
     every reported bucket gain with the oracle
     ({!Fpart_check.Selfcheck.validate_gain}). *)
 val engine : t -> Sanchis.config
+
+(** [flow t] is the corridor-sweep budget of the hybrid's flow
+    escalation: {!Flow.Refine.default_config} with the pass budget
+    clamped to [min 4 t.max_passes] — each sweep re-runs Dinic on every
+    wired pair, so a handful already reaches the fixed point. *)
+val flow : t -> Flow.Refine.config
 
 (** [free_space t ~s_max ~t_max ~size ~pins] is the free-space estimate
     [F = σ1·(S_MAX-S_i)/S_MAX + σ2·(T_MAX-|Y_i|)/T_MAX] used to pick

@@ -174,44 +174,37 @@ let refine config ctx st =
     if Fpart_check.Selfcheck.at_least config.Config.selfcheck Fpart_check.Selfcheck.Cheap
     then ignore (Fpart_check.Selfcheck.validate ~where:"driver.refine" st)
   in
-  let flow_cfg =
-    { Flow.Refine.default_config with max_passes = min 4 config.Config.max_passes }
-  in
-  let flow_all () =
-    ignore
-      (Flow.Refine.refine_active flow_cfg st ~active:(Array.init k Fun.id) ~lower
-         ~upper ~eval);
+  let retained = ref 0 in
+  if k <= 18 then begin
+    let report =
+      Sanchis.improve st
+        ~spec:{ Sanchis.active = Array.init k Fun.id; remainder = None; lower; upper }
+        ~config:engine ~eval
+    in
+    retained := report.Sanchis.moves_retained;
     boundary st
-  in
-  match config.Config.refiner with
-  | Config.Flow_refiner -> flow_all ()
-  | (Config.Sanchis_refiner | Config.Hybrid_refiner) as refiner ->
-    let retained = ref 0 in
-    if k <= 18 then begin
+  end
+  else begin
+    for i = 0 to k - 1 do
+      let j = (i + 1) mod k in
       let report =
         Sanchis.improve st
-          ~spec:{ Sanchis.active = Array.init k Fun.id; remainder = None; lower; upper }
+          ~spec:{ Sanchis.active = [| i; j |]; remainder = None; lower; upper }
           ~config:engine ~eval
       in
-      retained := report.Sanchis.moves_retained;
+      retained := !retained + report.Sanchis.moves_retained;
       boundary st
-    end
-    else begin
-      for i = 0 to k - 1 do
-        let j = (i + 1) mod k in
-        let report =
-          Sanchis.improve st
-            ~spec:{ Sanchis.active = [| i; j |]; remainder = None; lower; upper }
-            ~config:engine ~eval
-        in
-        retained := !retained + report.Sanchis.moves_retained;
-        boundary st
-      done
-    end;
-    (* The hybrid adds a flow sweep after the Sanchis schedule has run
-       in full (never interleaved), so its cut can only match or beat
-       the pure Sanchis refinement of the same state. *)
-    if refiner = Config.Hybrid_refiner && !retained = 0 then flow_all ()
+    done
+  end;
+  (* The hybrid adds a flow sweep after the Sanchis schedule has run
+     in full (never interleaved), so its cut can only match or beat
+     the pure Sanchis refinement of the same state. *)
+  if config.Config.refiner = Config.Hybrid_refiner && !retained = 0 then begin
+    ignore
+      (Flow.Refine.refine_active (Config.flow config) st ~active:(Array.init k Fun.id)
+         ~lower ~upper ~eval);
+    boundary st
+  end
   end
 
 let run_clustered ?pool config hg device ~max_cluster_size =

@@ -108,7 +108,9 @@ val final_state : result -> Hypergraph.Hgraph.t -> Partition.State.t
     Sanchis pass when [k ≤ 18], otherwise a ring of pairwise passes.
     Move windows are strict ([0 .. S_MAX], no remainder), so sizes stay
     within the device and — because the engine rewinds each pass to its
-    best prefix — the lexicographic solution value never worsens.  Pass
-    intensity follows [config.max_passes]; the multilevel engine calls
-    this at every uncoarsening level with its own bound. *)
+    best prefix — the lexicographic solution value never worsens.  With
+    [Hybrid_refiner], a corridor flow sweep over every block follows
+    when no Sanchis pass retained a move.  Pass intensity follows
+    [config.max_passes]; the multilevel engine calls this at every
+    uncoarsening level with its own bound. *)
 val refine : Config.t -> Partition.Cost.context -> Partition.State.t -> unit

@@ -36,12 +36,6 @@ module Recorder = Fpart_obs.Recorder
 module Json = Fpart_obs.Json
 module Selfcheck = Fpart_check.Selfcheck
 
-(* Flow refinement budget: corridor sweeps share the configured pass
-   budget but are clamped — each sweep re-runs Dinic on every wired
-   pair, so a handful already reaches the fixed point. *)
-let flow_config t =
-  { Flow.Refine.default_config with max_passes = min 4 t.cfg.Config.max_passes }
-
 let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
   let lower, upper = windows t st ~remainder ~allow_violation ~two_block in
   let spec = { Sanchis.active; remainder = Some remainder; lower; upper } in
@@ -61,46 +55,31 @@ let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
      record below. *)
   let sp = Recorder.span_begin "improve.pass" in
   let refiner = t.cfg.Config.refiner in
-  let report =
-    match refiner with
-    | Config.Flow_refiner -> None
-    | Config.Sanchis_refiner | Config.Hybrid_refiner ->
-      Some (Sanchis.improve st ~spec ~config:(Config.engine t.cfg) ~eval)
-  in
+  let report = Sanchis.improve st ~spec ~config:(Config.engine t.cfg) ~eval in
   (* The hybrid escalates to flow exactly when Sanchis stalled: a pass
      that retained zero moves means the gain buckets see no profitable
      trajectory, which is the situation corridor min-cuts unblock. *)
   let flow_report =
-    match refiner with
-    | Config.Sanchis_refiner -> None
-    | Config.Flow_refiner ->
-      Some (Flow.Refine.refine_active (flow_config t) st ~active ~lower ~upper ~eval)
-    | Config.Hybrid_refiner ->
-      (match report with
-      | Some r when r.Sanchis.moves_retained = 0 ->
-        Some (Flow.Refine.refine_active (flow_config t) st ~active ~lower ~upper ~eval)
-      | _ -> None)
+    if refiner = Config.Hybrid_refiner && report.Sanchis.moves_retained = 0 then
+      Some (Flow.Refine.refine_active (Config.flow t.cfg) st ~active ~lower ~upper ~eval)
+    else None
   in
   (* the per-move checks of the paranoid level ride in [Config.engine] *)
   if Selfcheck.at_least t.cfg.Config.selfcheck Selfcheck.Cheap then
     ignore (Selfcheck.validate ~where:"improve.boundary" st);
-  (* After a Sanchis run the state sits at the retained best, so a
+  (* After the Sanchis passes the state sits at the retained best, so a
      fresh tracked evaluation reproduces [report.best] bit-identically;
-     after a flow run it reflects the applied corridor cuts. *)
+     after a flow escalation it reflects the applied corridor cuts. *)
   let value_after = eval st in
-  let passes =
-    (match report with Some r -> r.Sanchis.passes_run | None -> 0)
-    + match flow_report with Some f -> f.Flow.Refine.passes_run | None -> 0
+  let flow_passes, flow_moves =
+    match flow_report with
+    | Some f -> (f.Flow.Refine.passes_run, f.Flow.Refine.moves_applied)
+    | None -> (0, 0)
   in
-  let moves =
-    (match report with Some r -> r.Sanchis.moves_applied | None -> 0)
-    + match flow_report with Some f -> f.Flow.Refine.moves_applied | None -> 0
-  in
-  let moves_retained =
-    (match report with Some r -> r.Sanchis.moves_retained | None -> 0)
-    + match flow_report with Some f -> f.Flow.Refine.moves_applied | None -> 0
-  in
-  let restarts = match report with Some r -> r.Sanchis.restarts | None -> 0 in
+  let passes = report.Sanchis.passes_run + flow_passes in
+  let moves = report.Sanchis.moves_applied + flow_moves in
+  let moves_retained = report.Sanchis.moves_retained + flow_moves in
+  let restarts = report.Sanchis.restarts in
   let flow_attrs =
     match flow_report with
     | None -> []

@@ -19,8 +19,8 @@
 
     Node lines map node {e names} (not ids) to block indices, so a
     partition file survives any re-numbering of the hypergraph as long
-    as names are stable.  Heterogeneous partitions record one device per
-    block; homogeneous writers repeat the same device. *)
+    as names are stable.  Every block line names its own device; a
+    single-device partition repeats the same name on each. *)
 
 type t = {
   circuit : string;

@@ -98,15 +98,7 @@ let load_netlist = function
   | Protocol.Path path ->
     if not (Sys.file_exists path) then
       Error (Printf.sprintf "%s: no such file" path)
-    else if Filename.check_suffix path ".v" then
-      let* m = Netlist.Verilog.parse_file path in
-      Ok (m.Netlist.Verilog.mod_name, m.Netlist.Verilog.graph)
-    else if Filename.check_suffix path ".xnf" then
-      let* d = Netlist.Xnf.parse_file path in
-      Ok (d.Netlist.Xnf.design_name, d.Netlist.Xnf.graph)
-    else
-      let* m = Netlist.Blif.parse_file path in
-      Ok (m.Netlist.Blif.model_name, m.Netlist.Blif.graph)
+    else Netlist.Load.file path
   | Protocol.Inline_blif text ->
     let* m = Netlist.Blif.parse_string text in
     Ok (m.Netlist.Blif.model_name, m.Netlist.Blif.graph)
@@ -114,26 +106,8 @@ let load_netlist = function
     let* d = Netlist.Xnf.parse_string text in
     Ok (d.Netlist.Xnf.design_name, d.Netlist.Xnf.graph)
   | Protocol.Generate { spec; gen_seed } ->
-    if String.length spec > 5 && String.sub spec 0 5 = "rent:" then
-      match int_of_string_opt (String.sub spec 5 (String.length spec - 5)) with
-      | Some cells when cells >= 64 ->
-        Ok
-          ( "generated",
-            Netlist.Generator.generate
-              (Netlist.Generator.rent_spec ~name:"rent" ~cells ~seed:gen_seed) )
-      | _ -> Error "bad generate spec (expected rent:CELLS with CELLS >= 64)"
-    else
-      (match String.split_on_char 'x' spec with
-      | [ cells; pads ] -> (
-        match (int_of_string_opt cells, int_of_string_opt pads) with
-        | Some cells, Some pads when cells >= 2 && pads >= 1 ->
-          Ok
-            ( "generated",
-              Netlist.Generator.generate
-                (Netlist.Generator.default_spec ~name:"gen" ~cells ~pads
-                   ~seed:gen_seed) )
-        | _ -> Error "bad generate spec (expected CELLSxPADS or rent:CELLS)")
-      | _ -> Error "bad generate spec (expected CELLSxPADS or rent:CELLS)")
+    Result.map_error (Printf.sprintf "bad generate spec (%s)")
+      (Netlist.Load.generate spec ~seed:gen_seed)
 
 let config_of_request (req : Protocol.request) =
   let c = { Fpart.Config.default with delta = req.delta } in

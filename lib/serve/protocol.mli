@@ -34,7 +34,9 @@ type request = {
   runs : int;  (** Multi-start breadth; default 1. *)
   seed : int option;
   max_passes : int option;
-  refiner : string option;  (** "sanchis" | "flow" | "hybrid". *)
+  refiner : string option;
+      (** "sanchis" | "hybrid"; the engine answers any other name with
+          an error. *)
   timeout_s : float option;
   eco : eco option;
   inject : string option;
