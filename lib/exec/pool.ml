@@ -156,7 +156,15 @@ let map t f arr =
     let snaps = Array.make n None in
     let wmarks = Array.make n None in
     let rsnaps = Array.make n Recorder.empty_snapshot in
+    let flows = Array.make n None in
+    let home = Domain.self () in
     let run i =
+      (* A task run away from the calling domain is bracketed by
+         resource readings whose delta the caller adopts at the join. *)
+      let sampling = Resource.enabled () in
+      let before =
+        if sampling && Domain.self () <> home then Some (Resource.sample ()) else None
+      in
       (* Every task — including those the caller runs itself — records
          spans into a task-local capture, so the join can replay them
          in task index order: the emitted id/parent/order stream is
@@ -169,12 +177,17 @@ let map t f arr =
               | exception e -> Raised (e, Printexc.get_raw_backtrace ())))
       in
       rsnaps.(i) <- rsnap;
+      (* An adopted delta counts its closing reading, so every task
+         closes with one: caller flows then do not depend on scheduling. *)
+      if sampling then begin
+        let after = Resource.sample () in
+        Option.iter (fun before -> flows.(i) <- Some (Resource.delta ~before ~after)) before
+      end;
       (* hand this task's metric activity back to the caller; tasks the
          caller ran itself accumulated in the right cells already.
          Resource peak watermarks travel the same way — max-merged at
          the join, so a post-join summary on the caller reflects peaks
-         only a worker domain observed (flows need no merge: per-span
-         resource deltas already ride in the recorder snapshot). *)
+         only a worker domain observed. *)
       if Domain.DLS.get in_worker then begin
         snaps.(i) <- Some (Metrics.snapshot_and_reset ());
         wmarks.(i) <- Some (Resource.snapshot_watermark ())
@@ -184,6 +197,7 @@ let map t f arr =
     Array.iter Recorder.merge rsnaps;
     Array.iter (function Some s -> Metrics.merge s | None -> ()) snaps;
     Array.iter (function Some w -> Resource.merge_watermark w | None -> ()) wmarks;
+    Array.iter (Option.iter Resource.adopt) flows;
     Array.map
       (function
         | Done v -> v

@@ -37,7 +37,8 @@ val create : jobs:int -> t
 val jobs : t -> int
 
 (** [map t f arr] computes [f i arr.(i)] for every index, in parallel,
-    and returns the results in index order. *)
+    and returns the results in index order.  The caller adopts the
+    resource flows of tasks that ran on workers ({!Fpart_obs.Resource.adopt}). *)
 val map : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
 (** [map_seeded t ~master_seed f arr] is {!map} where task [i] also

@@ -162,9 +162,9 @@ let span_end s ~attrs =
     let dur_ms = (t1 -. s.s_t0) *. 1000.0 in
     Metrics.observe (Metrics.histogram s.s_name) dur_ms;
     (* Resource deltas are sampled on the same domain as the begin
-       sample, so flows are differences of this domain's own counters
-       — scheduling-independent, and they ride through capture/merge
-       as ordinary span attrs. *)
+       sample, so flows are differences of this domain's counters (plus
+       the worker flows it adopted at pool joins in between) — they
+       ride through capture/merge as ordinary span attrs. *)
     let res =
       match s.s_r0 with
       | Some r0 when Resource.enabled () ->

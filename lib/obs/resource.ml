@@ -117,32 +117,6 @@ let merge_watermark w =
       w_maxrss_kb = max c.w_maxrss_kb w.w_maxrss_kb;
     }
 
-let reset () = Domain.DLS.get watermark_key := zero_watermark
-
-(* {2 Sampling} *)
-
-let default_sample () =
-  let st = Gc.quick_stat () in
-  {
-    (* quick_stat refreshes minor_words only at a minor collection *)
-    minor_words = Gc.minor_words ();
-    promoted_words = st.Gc.promoted_words;
-    major_words = st.Gc.major_words;
-    minor_gcs = st.Gc.minor_collections;
-    major_gcs = st.Gc.major_collections;
-    compactions = st.Gc.compactions;
-    top_heap_words = st.Gc.top_heap_words;
-    os = !os_source ();
-  }
-
-let source : (unit -> sample) option ref = ref None
-let set_source f = source := f
-
-let sample () =
-  let s = match !source with Some f -> f () | None -> default_sample () in
-  raise_watermark s;
-  s
-
 (* {2 Deltas} *)
 
 type delta = {
@@ -211,6 +185,56 @@ let delta_fields d =
     ("utime_ms", Json.Float (1000.0 *. d.d_utime_s));
     ("stime_ms", Json.Float (1000.0 *. d.d_stime_s));
   ]
+
+(* Flows other domains ran on this domain's behalf; see {!adopt}. *)
+let adopted_key : delta ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref zero_delta)
+
+(* {2 Sampling} *)
+
+let default_sample () =
+  let st = Gc.quick_stat () in
+  {
+    (* quick_stat refreshes minor_words only at a minor collection *)
+    minor_words = Gc.minor_words ();
+    promoted_words = st.Gc.promoted_words;
+    major_words = st.Gc.major_words;
+    minor_gcs = st.Gc.minor_collections;
+    major_gcs = st.Gc.major_collections;
+    compactions = st.Gc.compactions;
+    top_heap_words = st.Gc.top_heap_words;
+    os = !os_source ();
+  }
+
+let source : (unit -> sample) option ref = ref None
+let set_source f = source := f
+
+(* The default sampler reads only minor words per domain; quick_stat's
+   other counters and the OS readings are process-wide. *)
+let adopt d =
+  let d =
+    if Option.is_none !source then { zero_delta with d_minor_words = d.d_minor_words } else d
+  in
+  let cell = Domain.DLS.get adopted_key in
+  cell := add !cell d
+
+let sample () =
+  let s = match !source with Some f -> f () | None -> default_sample () in
+  raise_watermark s;
+  let a = !(Domain.DLS.get adopted_key) in
+  if a == zero_delta then s
+  else
+    { s with
+      minor_words = s.minor_words +. a.d_minor_words;
+      promoted_words = s.promoted_words +. a.d_promoted_words;
+      major_words = s.major_words +. a.d_major_words;
+      minor_gcs = s.minor_gcs + a.d_minor_gcs;
+      major_gcs = s.major_gcs + a.d_major_gcs;
+      os = { s.os with os_utime_s = s.os.os_utime_s +. a.d_utime_s;
+                       os_stime_s = s.os.os_stime_s +. a.d_stime_s } }
+
+let reset () =
+  Domain.DLS.get watermark_key := zero_watermark;
+  Domain.DLS.get adopted_key := zero_delta
 
 (* {2 Summary} *)
 

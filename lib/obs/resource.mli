@@ -11,15 +11,17 @@
     {!Recorder.span_end} appends the {!delta} fields to the span record
     plus one [{"type":"counter"}] record (exported as a Chrome Trace
     ["C"] event).  Flow fields (words allocated, collections, CPU time)
-    are differences and therefore scheduling-independent per domain;
-    peak fields ([heap_w], [rss_kb]) are monotone end-values.
+    are differences of the sampling domain's counters plus the flows
+    it has {!adopt}ed; peak fields ([heap_w], [rss_kb]) are monotone
+    end-values.
 
-    {b Domain-safety.}  Sampling is per-domain: [Gc.quick_stat] reads
-    the calling domain's view and each domain keeps its own peak
-    {!watermark} cell, which {!Fpart_exec.Pool} snapshots on workers
-    and max-merges into the caller at the join — mirroring
+    {b Domain-safety.}  Sampling runs on the calling domain and each
+    domain keeps its own peak {!watermark} cell, which
+    {!Fpart_exec.Pool} snapshots on workers and max-merges into the
+    caller at the join — mirroring
     {!Metrics.snapshot_and_reset}/{!Metrics.merge}, and order-independent
-    because [max] is commutative. *)
+    because [max] is commutative.  Worker task flows come back by
+    {!adopt}. *)
 
 (** Process-level readings the GC cannot see.  [os_maxrss_kb] is the
     peak resident set in KiB (monotone); [os_utime_s]/[os_stime_s] are
@@ -54,7 +56,8 @@ val set_os_source : (unit -> os) -> unit
     deterministic tests. *)
 val set_source : (unit -> sample) option -> unit
 
-(** Take a sample on the calling domain (and raise its {!watermark}). *)
+(** Take a sample on the calling domain (and raise its {!watermark}).
+    Its flows include those the domain has {!adopt}ed. *)
 val sample : unit -> sample
 
 (** [proc_status_maxrss_kb ()] parses [VmHWM] out of
@@ -90,6 +93,13 @@ val zero_delta : delta
 
 (** Sum the flows, max the peaks. *)
 val add : delta -> delta -> delta
+
+(** [adopt d] adds flows [d], measured on another domain on this
+    one's behalf (a {!Fpart_exec.Pool} worker task), to every later
+    {!sample} here, so a span open across the join counts the task.
+    Only flows the sampler reads per domain are adopted: all of an
+    injected source's, the default sampler's [minor_words] alone. *)
+val adopt : delta -> unit
 
 (** Total words allocated: minor + major − promoted (promoted words
     are counted in both source pools). *)
@@ -130,5 +140,6 @@ val summary : unit -> Json.t
     header. *)
 val pp_summary : Format.formatter -> unit -> unit
 
-(** Drop the calling domain's watermark; for test isolation. *)
+(** Drop the calling domain's watermark and adopted flows; for test
+    isolation. *)
 val reset : unit -> unit

@@ -725,6 +725,94 @@ let test_resource_jobs_deterministic () =
   Alcotest.(check bool) "memspots identical" true
     (Inspect.memspots t1 = Inspect.memspots t4)
 
+(* [Resource.adopt] with an injected (per-domain) source: every flow
+   offsets later samples on the adopting domain, peaks are untouched,
+   and reset drops the offset. *)
+let test_resource_adopt_offsets_samples () =
+  Resource.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Resource.set_source None;
+      Resource.reset ())
+    (fun () ->
+      Resource.set_source (Some (scripted_source ()));
+      let s1 = Resource.sample () in
+      Resource.adopt
+        {
+          Resource.d_minor_words = 500.0;
+          d_promoted_words = 5.0;
+          d_major_words = 50.0;
+          d_minor_gcs = 2;
+          d_major_gcs = 1;
+          d_top_heap_words = 99_999;
+          d_maxrss_kb = 99_999;
+          d_utime_s = 0.25;
+          d_stime_s = 0.5;
+        };
+      let s2 = Resource.sample () in
+      let d = Resource.delta ~before:s1 ~after:s2 in
+      (* one scripted step (1000/10/100 words, 1 gc) plus the adopted flows *)
+      Alcotest.(check (float 0.0)) "minor words" 1500.0 d.Resource.d_minor_words;
+      Alcotest.(check (float 0.0)) "promoted words" 15.0 d.Resource.d_promoted_words;
+      Alcotest.(check (float 0.0)) "major words" 150.0 d.Resource.d_major_words;
+      Alcotest.(check int) "minor gcs" 3 d.Resource.d_minor_gcs;
+      Alcotest.(check int) "major gcs" 1 d.Resource.d_major_gcs;
+      Alcotest.(check (float 0.0)) "utime" 0.25 d.Resource.d_utime_s;
+      Alcotest.(check (float 0.0)) "stime" 0.5 d.Resource.d_stime_s;
+      Alcotest.(check int) "heap peak not adopted" 4096 d.Resource.d_top_heap_words;
+      Alcotest.(check int) "rss peak not adopted" 2048 d.Resource.d_maxrss_kb;
+      Resource.reset ();
+      Alcotest.(check (float 0.0)) "reset drops adopted flows" 3000.0
+        (Resource.sample ()).Resource.minor_words)
+
+(* The default sampler's quick_stat counters are process-wide, so it
+   adopts only the per-domain minor words. *)
+let test_resource_default_adopts_minor_only () =
+  Resource.reset ();
+  Fun.protect ~finally:Resource.reset (fun () ->
+      let big = 1e12 in
+      let s1 = Resource.sample () in
+      Resource.adopt
+        {
+          Resource.zero_delta with
+          Resource.d_minor_words = big;
+          d_promoted_words = big;
+          d_major_words = big;
+          d_minor_gcs = 1_000_000;
+          d_major_gcs = 1_000_000;
+          d_utime_s = 1e6;
+        };
+      let d = Resource.delta ~before:s1 ~after:(Resource.sample ()) in
+      Alcotest.(check bool) "minor words adopted" true (d.Resource.d_minor_words >= big);
+      Alcotest.(check bool) "promoted words not adopted" true
+        (d.Resource.d_promoted_words < big);
+      Alcotest.(check bool) "major words not adopted" true (d.Resource.d_major_words < big);
+      Alcotest.(check bool) "collections not adopted" true
+        (d.Resource.d_minor_gcs < 1_000_000 && d.Resource.d_major_gcs < 1_000_000);
+      Alcotest.(check bool) "cpu time not adopted" true (d.Resource.d_utime_s < 1e6))
+
+(* A span around a pool batch counts every task's flows wherever it
+   ran: one end sample, and per task its 4 span samples plus the one
+   closing reading the pool takes on every domain. *)
+let test_resource_batch_span_inclusive () =
+  let records = resource_jobs_records ~jobs:4 in
+  let named name =
+    List.find
+      (fun j -> Option.(bind (Json.member "name" j) Json.str) = Some name)
+      (spans_with "alloc_w" records)
+  in
+  let tasks = List.init 4 (fun i -> named (Printf.sprintf "rj.task%d" i)) in
+  let batch = named "rj.batch" in
+  Alcotest.(check (float 0.0)) "batch minor words" 21_000.0 (fnum "minor_w" batch);
+  Alcotest.(check bool) "batch covers its tasks" true
+    (fnum "alloc_w" batch >= List.fold_left (fun acc t -> acc +. fnum "alloc_w" t) 0.0 tasks);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (r.Inspect.m_name ^ " self words non-negative")
+        true (r.Inspect.m_self_w >= 0.0))
+    (Inspect.memspots (Inspect.of_records records))
+
 let test_mem_analysis () =
   (* synthetic trace: outer allocates 100w of which inner 60w; totals
      must count roots once, peaks max over all spans *)
@@ -1150,6 +1238,12 @@ let () =
             test_resource_watermarks;
           Alcotest.test_case "deterministic across --jobs" `Quick
             test_resource_jobs_deterministic;
+          Alcotest.test_case "adopted flows offset later samples" `Quick
+            test_resource_adopt_offsets_samples;
+          Alcotest.test_case "default sampler adopts minor words only" `Quick
+            test_resource_default_adopts_minor_only;
+          Alcotest.test_case "batch span counts worker tasks" `Quick
+            test_resource_batch_span_inclusive;
         ] );
       ( "ledger",
         [
