@@ -1,6 +1,7 @@
 module Hg = Hypergraph.Hgraph
 module State = Partition.State
 module Cost = Partition.Cost
+module Recorder = Fpart_obs.Recorder
 
 type method_used = Used_seed_merge | Used_ratio_cut | Used_random
 
@@ -28,9 +29,15 @@ let split ?(salt = 0) ?pool st ~p_block ~r_block ~params ~ctx ~step_k =
      builds its own scratch state), so the portfolio can evaluate them
      on two domains; the apply/compare below stays on the caller. *)
   let run_sm () =
-    Seed_merge.split ~salt hg ~member ~s_max:ctx.Cost.s_max ~t_max:ctx.Cost.t_max
+    let sp = Recorder.span_begin "bipartition.seed_merge" in
+    let r = Seed_merge.split ~salt hg ~member ~s_max:ctx.Cost.s_max ~t_max:ctx.Cost.t_max in
+    Recorder.span_end sp ~attrs:[];
+    r
   and run_rc () =
-    Ratio_cut.split hg ~member ~s_max:ctx.Cost.s_max ~t_max:ctx.Cost.t_max
+    let sp = Recorder.span_begin "bipartition.ratio_cut" in
+    let r = Ratio_cut.split hg ~member ~s_max:ctx.Cost.s_max ~t_max:ctx.Cost.t_max in
+    Recorder.span_end sp ~attrs:[];
+    r
   in
   let sm, rc =
     match pool with

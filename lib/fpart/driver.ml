@@ -38,8 +38,14 @@ let run_flat ?pool config hg device =
   let imp = { Improve.cfg = config; params = config.Config.cost; ctx; trace } in
   let n = Hg.num_nodes hg in
   let assign = Array.make n 0 in
-  let finish ~k ~feasible ~iterations =
+  let create_state k =
+    let sp = Recorder.span_begin "driver.state_create" in
     let st = State.create hg ~k ~assign:(fun v -> assign.(v)) in
+    Recorder.span_end sp ~attrs:[ ("k", Json.Int k) ];
+    st
+  in
+  let finish ~k ~feasible ~iterations =
+    let st = create_state k in
     if
       Fpart_check.Selfcheck.at_least config.Config.selfcheck
         Fpart_check.Selfcheck.Cheap
@@ -67,7 +73,7 @@ let run_flat ?pool config hg device =
     }
   in
   (* trivial case: the whole circuit fits one device *)
-  let whole = State.create hg ~k:1 ~assign:(fun _ -> 0) in
+  let whole = create_state 1 in
   if Cost.classify ctx whole = Cost.Feasible then finish ~k:1 ~feasible:true ~iterations:0
   else begin
     let max_iterations = max ((3 * m) + 12) 16 in
@@ -76,7 +82,7 @@ let run_flat ?pool config hg device =
       let iteration = j + 1 in
       if iteration > max_iterations then finish ~k:(j + 1) ~feasible:false ~iterations:j
       else begin
-        let st = State.create hg ~k:(j + 2) ~assign:(fun v -> assign.(v)) in
+        let st = create_state (j + 2) in
         let r = j + 1 in
         if State.cells_of st j < 2 then
           (* unsplittable remainder *)

@@ -1,5 +1,6 @@
 module Hg = Hypergraph.Hgraph
 module State = Partition.State
+module Vec = Hypergraph.Vec
 
 type result = { p_side : bool array; p_size : int; p_pins : int }
 
@@ -60,67 +61,68 @@ let split ?(salt = 0) hg ~member ~s_max ~t_max =
   let seed_b = far_member hg ~member seed_a in
   State.move st seed_a block_a;
   if seed_b <> seed_a then State.move st seed_b block_b;
-  (* Frontier per block: pool nodes adjacent to the block.  Stored as a
-     membership array + list; stale entries are skipped at use. *)
-  let in_frontier = Array.make n (-1) in
-  (* -1 none, 1 in A's frontier, 2 in B's, 3 in both *)
-  let frontier = [| []; [] |] in
-  let add_frontier blk u =
-    let bit = if blk = block_a then 1 else 2 in
-    let cur = max 0 in_frontier.(u) in
-    if cur land bit = 0 then begin
-      in_frontier.(u) <- cur lor bit;
-      let idx = blk - 1 in
-      frontier.(idx) <- u :: frontier.(idx)
-    end
-  in
+  (* Per growing block: its frontier (pool cells on a net of the
+     block, a vector compacted in place as cells leave the pool) and,
+     for each frontier cell, its cached pin change [State.pin_change st
+     u blk] — [absent] when the cell is not in this frontier, [stale]
+     when it must be recomputed.  A cell's pin change depends only on
+     the counts and spans of its own nets, which a merge into [blk]
+     changes only on the merged cell's nets; a merge into the other
+     block leaves it as it was (on a net that held both cells in the
+     pool, the term is 1 - [blk has a pin there] before and after). *)
+  let absent = min_int and stale = max_int in
+  let delta = [| Array.make n absent; Array.make n absent |] in
+  let frontier = [| Vec.create (); Vec.create () |] in
   let extend_frontier blk v =
+    let d = delta.(blk - 1) and f = frontier.(blk - 1) in
     Array.iter
       (fun e ->
         Array.iter
-          (fun u -> if State.block_of st u = pool then add_frontier blk u)
+          (fun u ->
+            if State.block_of st u = pool then begin
+              if d.(u) = absent then Vec.push f u;
+              d.(u) <- stale
+            end)
           (Hg.pins hg e))
       (Hg.nets_of hg v)
   in
   extend_frontier block_a seed_a;
   if seed_b <> seed_a then extend_frontier block_b seed_b;
-  (* Merge score: size gained per terminal paid after the tentative
-     merge (higher is better).  Also returns the resulting pin count so
-     the caller can enforce pin saturation. *)
-  let score blk u =
-    State.move st u blk;
-    let s = State.size_of st blk in
-    let t = max 1 (State.pins_of st blk) in
-    State.move st u pool;
-    (float_of_int s /. float_of_int t, t)
-  in
-  (* A candidate is acceptable when it fits the size budget and keeps
-     the pins within T_MAX — "merge stops when constraints are
-     saturated" covers both resources.  While the block is already
-     above the pin budget, pin-decreasing merges stay acceptable so a
-     temporary overshoot can be absorbed. *)
+  (* Merge score: size gained per terminal paid after the merge
+     (higher is better), from the cached pin change.  A candidate is
+     acceptable when it fits the size budget and keeps the pins within
+     T_MAX — "merge stops when constraints are saturated" covers both
+     resources.  While the block is already above the pin budget,
+     pin-decreasing merges stay acceptable so a temporary overshoot can
+     be absorbed.  The best candidate is the maximum of (score, -(u lxor
+     salt)), a total order, so the scan order does not matter. *)
   let pick blk =
-    let idx = blk - 1 in
+    let d = delta.(blk - 1) and f = frontier.(blk - 1) in
     let best = ref (-1) in
     let best_score = ref neg_infinity in
-    let live = ref [] in
-    let pins_now = State.pins_of st blk in
-    List.iter
-      (fun u ->
-        if State.block_of st u = pool then begin
-          live := u :: !live;
-          if State.size_of st blk + Hg.size hg u <= s_max then begin
-            let sc, pins' = score blk u in
-            if pins' <= t_max || pins' < pins_now then
-              if sc > !best_score || (sc = !best_score && u lxor salt < !best lxor salt)
-              then begin
-                best_score := sc;
-                best := u
-              end
+    let size_now = State.size_of st blk and pins_now = State.pins_of st blk in
+    let live = ref 0 in
+    for i = 0 to Vec.length f - 1 do
+      let u = Vec.get f i in
+      if State.block_of st u = pool then begin
+        Vec.set f !live u;
+        incr live;
+        let s = size_now + Hg.size hg u in
+        if s <= s_max then begin
+          if d.(u) = stale then d.(u) <- State.pin_change st u blk;
+          let t = max 1 (pins_now + d.(u)) in
+          if t <= t_max || t < pins_now then begin
+            let sc = float_of_int s /. float_of_int t in
+            if sc > !best_score || (sc = !best_score && u lxor salt < !best lxor salt)
+            then begin
+              best_score := sc;
+              best := u
+            end
           end
-        end)
-      frontier.(idx);
-    frontier.(idx) <- !live;
+        end
+      end
+    done;
+    Vec.truncate f !live;
     if !best >= 0 then Some !best else None
   in
   let saturated = [| false; false |] in

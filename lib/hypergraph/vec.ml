@@ -48,3 +48,7 @@ let fold f acc v =
   !acc
 
 let clear v = v.len <- 0
+
+let truncate v n =
+  if n < 0 || n > v.len then invalid_arg "Vec.truncate: length out of bounds";
+  v.len <- n

@@ -39,3 +39,8 @@ val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 (** [clear v] removes all elements (capacity is kept). *)
 val clear : 'a t -> unit
+
+(** [truncate v n] keeps the first [n] elements (capacity is kept), so
+    a caller can compact a vector in place with {!set}.
+    @raise Invalid_argument unless [0 <= n <= length v]. *)
+val truncate : 'a t -> int -> unit

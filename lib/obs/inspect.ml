@@ -7,7 +7,7 @@ type span = {
   parent : int;
   track : int;
   name : string;
-  t_ms : float;
+  t_ms : float option;
   dur_ms : float;
 }
 
@@ -42,7 +42,7 @@ let span_of_record j =
           parent = int_or 0 (fint "parent" j);
           track = int_or 0 (fint "track" j);
           name = (match fstr "name" j with Some n -> n | None -> "span");
-          t_ms = num_or 0.0 (fnum "t_ms" j);
+          t_ms = fnum "t_ms" j;
           dur_ms = num_or 0.0 (fnum "dur_ms" j);
         })
       (fint "id" j)
@@ -147,9 +147,16 @@ let validate t =
 
 (* {2 Hotspots}
 
-   Self time = a span's duration minus its direct children's; the
-   table answers "where did the wall-clock actually go" without the
-   double counting an inclusive-only table has. *)
+   Self time = a span's duration minus the time its direct children
+   cover: the length of the union of their [t_ms, t_ms + dur_ms]
+   intervals, clipped to the parent's.  For sequential children that is
+   their summed duration; children that ran at once on pool domains
+   overlap, and subtracting their sum would count the shared time twice
+   and can drive the parent's self time negative.  A record without a
+   begin time cannot be placed, so children of (or among) such records
+   count as sequential.  The table answers "where did the wall-clock
+   actually go" without the double counting an inclusive-only table
+   has. *)
 
 type hotspot = {
   h_name : string;
@@ -158,18 +165,51 @@ type hotspot = {
   h_self_ms : float;
 }
 
-let hotspots t =
-  let child_ms = Hashtbl.create 256 in
+let is_root t s = s.parent = 0 || not (Hashtbl.mem t.by_id s.parent)
+
+(* Direct children of every span, keyed by the parent's id. *)
+let children_of t =
+  let tbl = Hashtbl.create 256 in
   List.iter
     (fun s ->
-      if s.parent <> 0 && Hashtbl.mem t.by_id s.parent then
-        Hashtbl.replace child_ms s.parent
-          (num_or 0.0 (Hashtbl.find_opt child_ms s.parent) +. s.dur_ms))
+      if not (is_root t s) then
+        Hashtbl.replace tbl s.parent
+          (s :: Option.value ~default:[] (Hashtbl.find_opt tbl s.parent)))
     t.spans;
+  tbl
+
+let covered_ms s cs =
+  let timed = List.filter_map (fun c -> Option.map (fun t -> (t, t +. c.dur_ms)) c.t_ms) cs in
+  match s.t_ms with
+  | Some lo when List.compare_lengths timed cs = 0 ->
+    let hi = lo +. s.dur_ms in
+    let clipped =
+      List.filter_map
+        (fun (a, b) ->
+          let a = Float.max lo a and b = Float.min hi b in
+          if b > a then Some (a, b) else None)
+        timed
+      |> List.sort compare
+    in
+    fst
+      (List.fold_left
+         (fun (acc, reach) (a, b) ->
+           let a = Float.max a reach in
+           if b > a then (acc +. (b -. a), b) else (acc, reach))
+         (0.0, lo) clipped)
+  | _ -> List.fold_left (fun acc c -> acc +. c.dur_ms) 0.0 cs
+
+let self_ms children s =
+  match Hashtbl.find_opt children s.id with
+  | None -> s.dur_ms
+  | Some cs -> s.dur_ms -. covered_ms s cs
+
+let hotspots t =
+  let children = children_of t in
   let acc = Hashtbl.create 64 in
   List.iter
     (fun s ->
-      let self = s.dur_ms -. num_or 0.0 (Hashtbl.find_opt child_ms s.id) in
+      let self = self_ms children s in
       let c, tot, slf =
         match Hashtbl.find_opt acc s.name with
         | Some (c, t, sf) -> (c, t, sf)
@@ -185,21 +225,46 @@ let hotspots t =
          let c = compare b.h_self_ms a.h_self_ms in
          if c <> 0 then c else compare a.h_name b.h_name)
 
+(* Whatever a non-leaf span does outside its children is time no leaf
+   span names, so the uncovered share of the roots is exactly the
+   non-leaf self time. *)
+let coverage t =
+  let children = children_of t in
+  let root_ms, unnamed_ms =
+    List.fold_left
+      (fun (root, unnamed) s ->
+        ( (if is_root t s then root +. s.dur_ms else root),
+          if Hashtbl.mem children s.id then unnamed +. self_ms children s else unnamed ))
+      (0.0, 0.0) t.spans
+  in
+  if root_ms > 0.0 then Some (1.0 -. (unnamed_ms /. root_ms)) else None
+
 let pp_hotspots ?(times = true) ppf t =
   let rows = hotspots t in
   if rows = [] then Format.fprintf ppf "no spans recorded@."
-  else begin
-    if times then
-      Format.fprintf ppf "%-28s %8s %12s %12s@." "phase" "count" "total_ms"
-        "self_ms"
-    else Format.fprintf ppf "%-28s %8s@." "phase" "count";
+  else if times then begin
+    Format.fprintf ppf "%-28s %8s %12s %12s@." "phase" "count" "total_ms" "self_ms";
     List.iter
       (fun r ->
-        if times then
-          Format.fprintf ppf "%-28s %8d %12.3f %12.3f@." r.h_name r.h_count
-            r.h_total_ms r.h_self_ms
-        else Format.fprintf ppf "%-28s %8d@." r.h_name r.h_count)
+        Format.fprintf ppf "%-28s %8d %12.3f %12.3f@." r.h_name r.h_count r.h_total_ms
+          r.h_self_ms)
+      rows;
+    Option.iter
+      (fun c ->
+        Format.fprintf ppf "coverage: %.1f%% of root-span time is in leaf spans@."
+          (100.0 *. c))
+      (coverage t)
+  end
+  else begin
+    (* self-time order is wall-clock order: sort by the printed
+       columns so the table is deterministic *)
+    Format.fprintf ppf "%-28s %8s@." "phase" "count";
+    List.sort
+      (fun a b ->
+        let c = compare b.h_count a.h_count in
+        if c <> 0 then c else compare a.h_name b.h_name)
       rows
+    |> List.iter (fun r -> Format.fprintf ppf "%-28s %8d@." r.h_name r.h_count)
   end
 
 (* {2 Memory}
@@ -300,7 +365,7 @@ let mem_totals t =
       match Hashtbl.find_opt res s.id with
       | None -> acc
       | Some r ->
-        let is_root = s.parent = 0 || not (Hashtbl.mem t.by_id s.parent) in
+        let is_root = is_root t s in
         {
           t_alloc_w = (acc.t_alloc_w +. if is_root then r.r_alloc_w else 0.0);
           t_minor_gcs = (acc.t_minor_gcs + if is_root then r.r_minor_gcs else 0);

@@ -8,7 +8,7 @@ type span = {
   parent : int;
   track : int;
   name : string;
-  t_ms : float;
+  t_ms : float option;  (** begin time; [None] when the record has none *)
   dur_ms : float;
 }
 
@@ -37,13 +37,25 @@ type hotspot = {
   h_name : string;
   h_count : int;
   h_total_ms : float;
-  h_self_ms : float;  (** duration minus direct children *)
+  h_self_ms : float;
+      (** duration minus the union of the direct children's intervals,
+          clipped to the span, so never negative, even when children ran
+          at once on pool domains.  Children without a begin time (or
+          of a span without one) cannot be placed and count as
+          sequential: their durations are subtracted. *)
 }
 
 (** Per-phase rows sorted by self time (descending, then name). *)
 val hotspots : t -> hotspot list
 
-(** [~times:false] prints only the deterministic columns (for tests). *)
+(** [coverage t] is the share of root-span time that leaf spans cover:
+    [1 - (sum of non-leaf self time) / (sum of root durations)].
+    [None] when the roots have no duration. *)
+val coverage : t -> float option
+
+(** Rows by self time, then a [coverage:] line.  [~times:false] prints
+    only the deterministic columns, rows ordered by count (descending,
+    then name), and no coverage line (for tests). *)
 val pp_hotspots : ?times:bool -> Format.formatter -> t -> unit
 
 (** {2 Memory}

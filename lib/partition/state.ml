@@ -9,7 +9,7 @@ type t = {
   block_pads : int array;
   block_pins : int array;
   block_cells : int array;
-  net_cnt : int array array;
+  net_cnt : int array;  (* net [e]'s pins in block [i] at [e * k + i] *)
   net_span : int array;
   mutable cut : int;
   mutable t_sum : int;
@@ -20,6 +20,11 @@ let bool_to_int b = if b then 1 else 0
 (* A net contributes one pin to a block iff it has a pin there and either
    reaches a pad somewhere or spans >= 2 blocks (DESIGN.md §7). *)
 let contrib ~pad cnt span = if cnt > 0 && (pad || span >= 2) then 1 else 0
+
+(* A net's span after one of its pins moves from a block holding
+   [from_cnt] of them to one holding [to_cnt]. *)
+let span_after ~from_cnt ~to_cnt span =
+  span - bool_to_int (from_cnt = 1) + bool_to_int (to_cnt = 0)
 
 let create hg ~k ~assign =
   if k < 1 then invalid_arg "State.create: k < 1";
@@ -43,22 +48,29 @@ let create hg ~k ~assign =
     block_cells.(b) <- block_cells.(b) + 1;
     if Hg.is_pad hg v then block_pads.(b) <- block_pads.(b) + 1
   done;
-  let net_cnt = Array.init m (fun _ -> Array.make k 0) in
+  let net_cnt = Array.make (m * k) 0 in
   let net_span = Array.make m 0 in
   let cut = ref 0 in
   let t_sum = ref 0 in
   for e = 0 to m - 1 do
-    let cnt = net_cnt.(e) in
-    Array.iter (fun v -> cnt.(block_of.(v)) <- cnt.(block_of.(v)) + 1) (Hg.pins hg e);
-    let span = Array.fold_left (fun acc c -> acc + bool_to_int (c > 0)) 0 cnt in
+    let base = e * k in
+    let pins = Hg.pins hg e in
+    let span = ref 0 in
+    for j = 0 to Array.length pins - 1 do
+      let i = base + block_of.(pins.(j)) in
+      if net_cnt.(i) = 0 then incr span;
+      net_cnt.(i) <- net_cnt.(i) + 1
+    done;
+    let span = !span in
     net_span.(e) <- span;
     if span >= 2 then incr cut;
     let pad = Hg.net_has_pad hg e in
-    for b = 0 to k - 1 do
-      let c = contrib ~pad cnt.(b) span in
-      block_pins.(b) <- block_pins.(b) + c;
-      t_sum := !t_sum + c
-    done
+    if pad || span >= 2 then
+      for b = 0 to k - 1 do
+        let c = contrib ~pad net_cnt.(base + b) span in
+        block_pins.(b) <- block_pins.(b) + c;
+        t_sum := !t_sum + c
+      done
   done;
   {
     hg;
@@ -84,7 +96,7 @@ let copy t =
     block_pads = Array.copy t.block_pads;
     block_pins = Array.copy t.block_pins;
     block_cells = Array.copy t.block_cells;
-    net_cnt = Array.map Array.copy t.net_cnt;
+    net_cnt = Array.copy t.net_cnt;
     net_span = Array.copy t.net_span;
   }
 
@@ -98,7 +110,7 @@ let pads_of t i = t.block_pads.(i)
 let cells_of t i = t.block_cells.(i)
 let cut_size t = t.cut
 let total_pins t = t.t_sum
-let net_count t e i = t.net_cnt.(e).(i)
+let net_count t e i = t.net_cnt.((e * t.k) + i)
 let net_span t e = t.net_span.(e)
 
 let nodes_of_block t i =
@@ -126,14 +138,15 @@ let move ?on_net t v b =
       t.block_pads.(a) <- t.block_pads.(a) - 1;
       t.block_pads.(b) <- t.block_pads.(b) + 1
     end;
+    let cnt = t.net_cnt and k = t.k in
     Array.iter
       (fun e ->
-        let cnt = t.net_cnt.(e) in
-        let ca = cnt.(a) and cb = cnt.(b) in
+        let ia = (e * k) + a and ib = (e * k) + b in
+        let ca = cnt.(ia) and cb = cnt.(ib) in
         let span = t.net_span.(e) in
         let pad = Hg.net_has_pad t.hg e in
         let ca' = ca - 1 and cb' = cb + 1 in
-        let span' = span - bool_to_int (ca = 1) + bool_to_int (cb = 0) in
+        let span' = span_after ~from_cnt:ca ~to_cnt:cb span in
         (* Only blocks [a] and [b] can change pin contribution: any third
            block with pins on [e] sees span >= 2 both before and after. *)
         let da = contrib ~pad ca' span' - contrib ~pad ca span in
@@ -142,8 +155,8 @@ let move ?on_net t v b =
         t.block_pins.(b) <- t.block_pins.(b) + db;
         t.t_sum <- t.t_sum + da + db;
         t.cut <- t.cut + bool_to_int (span' >= 2) - bool_to_int (span >= 2);
-        cnt.(a) <- ca';
-        cnt.(b) <- cb';
+        cnt.(ia) <- ca';
+        cnt.(ib) <- cb';
         t.net_span.(e) <- span';
         match on_net with
         | None -> ()
@@ -164,11 +177,11 @@ let load_assignment t a =
    neighbour gains incrementally — sharing the arithmetic here is what
    makes the two paths bit-identical. *)
 let cut_gain_net ~from_cnt ~to_cnt ~span =
-  let span' = span - bool_to_int (from_cnt = 1) + bool_to_int (to_cnt = 0) in
+  let span' = span_after ~from_cnt ~to_cnt span in
   bool_to_int (span >= 2) - bool_to_int (span' >= 2)
 
 let pin_gain_net ~pad ~from_cnt ~to_cnt ~span =
-  let span' = span - bool_to_int (from_cnt = 1) + bool_to_int (to_cnt = 0) in
+  let span' = span_after ~from_cnt ~to_cnt span in
   let da = contrib ~pad (from_cnt - 1) span' - contrib ~pad from_cnt span in
   let db = contrib ~pad (to_cnt + 1) span' - contrib ~pad to_cnt span in
   -da - db
@@ -179,9 +192,9 @@ let cut_gain t v b =
   else
     Array.fold_left
       (fun acc e ->
-        let cnt = t.net_cnt.(e) in
         acc
-        + cut_gain_net ~from_cnt:cnt.(a) ~to_cnt:cnt.(b) ~span:t.net_span.(e))
+        + cut_gain_net ~from_cnt:(net_count t e a) ~to_cnt:(net_count t e b)
+            ~span:t.net_span.(e))
       0 (Hg.nets_of t.hg v)
 
 let pin_gain t v b =
@@ -190,10 +203,24 @@ let pin_gain t v b =
   else
     Array.fold_left
       (fun acc e ->
-        let cnt = t.net_cnt.(e) in
         acc
-        + pin_gain_net ~pad:(Hg.net_has_pad t.hg e) ~from_cnt:cnt.(a)
-            ~to_cnt:cnt.(b) ~span:t.net_span.(e))
+        + pin_gain_net ~pad:(Hg.net_has_pad t.hg e) ~from_cnt:(net_count t e a)
+            ~to_cnt:(net_count t e b) ~span:t.net_span.(e))
+      0 (Hg.nets_of t.hg v)
+
+(* The destination's share of [pin_gain_net], negated: the [db] term
+   [move] adds to [block_pins.(b)] on this net. *)
+let pin_change t v b =
+  let a = t.block_of.(v) in
+  if a = b then 0
+  else
+    Array.fold_left
+      (fun acc e ->
+        let from_cnt = net_count t e a and cb = net_count t e b in
+        let span = t.net_span.(e) in
+        let pad = Hg.net_has_pad t.hg e in
+        let span' = span_after ~from_cnt ~to_cnt:cb span in
+        acc + contrib ~pad (cb + 1) span' - contrib ~pad cb span)
       0 (Hg.nets_of t.hg v)
 
 let check t =
@@ -220,7 +247,8 @@ let check t =
   else
     let rec nets e =
       if e >= Hg.num_nets t.hg then Ok ()
-      else if t.net_cnt.(e) <> fresh.net_cnt.(e) then fail "net_cnt differs on net %d" e
+      else if Array.sub t.net_cnt (e * t.k) t.k <> Array.sub fresh.net_cnt (e * t.k) t.k
+      then fail "net_cnt differs on net %d" e
       else nets (e + 1)
     in
     nets 0

@@ -9,7 +9,8 @@
       net consumes one pin on block [i] iff it has a pin in [i] and is
       either connected to a pad somewhere or spans at least two blocks),
     - per-block external-pad count [T_i^E] (pads assigned to the block),
-    - per-net per-block pin counts and block span,
+    - per-net per-block pin counts (one flat [net * k + block] array)
+      and block span,
     - the global cut size (number of nets spanning ≥ 2 blocks) and the
       total pin count [T_SUM].
 
@@ -62,7 +63,10 @@ val cut_size : t -> int
 (** [total_pins t] is [T_SUM = sum_i T_i]. *)
 val total_pins : t -> int
 
-(** [net_count t e i] is the number of pins of net [e] inside block [i]. *)
+(** [net_count t e i] is the number of pins of net [e] inside block [i]
+    ([0 <= i < k t]).  The counts of all nets live in one flat array,
+    net-major, so a state costs one allocation however many nets the
+    graph has. *)
 val net_count : t -> Hypergraph.Hgraph.net -> int -> int
 
 (** [net_span t e] is the number of blocks net [e] touches. *)
@@ -111,6 +115,12 @@ val cut_gain : t -> Hypergraph.Hgraph.node -> int -> int
 (** [pin_gain t v b] is the decrease in {!total_pins} if [v] moved to
     [b]; used by the "real I/O gain" extension (paper's future work). *)
 val pin_gain : t -> Hypergraph.Hgraph.node -> int -> int
+
+(** [pin_change t v b] is the change in [pins_of t b] if [v] moved to
+    [b]: the destination's side of {!pin_gain}, O(degree of [v]).
+    Constructive growth scores a candidate's merge with it without a
+    tentative move. *)
+val pin_change : t -> Hypergraph.Hgraph.node -> int -> int
 
 (** [cut_gain_net ~from_cnt ~to_cnt ~span] is one net's contribution to
     {!cut_gain} for a mover whose net has [from_cnt] pins in the source

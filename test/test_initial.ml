@@ -52,6 +52,176 @@ let test_seed_merge_singleton () =
   let r = Fpart.Seed_merge.split h ~member:(fun v -> v = 3) ~s_max:10 ~t_max:64 in
   Alcotest.(check bool) "the singleton is P" true r.Fpart.Seed_merge.p_side.(3)
 
+(* Seed-merge as it was before cached pin changes: after every merge,
+   [pick] re-scores each frontier cell with two tentative
+   [State.move]s.  [Seed_merge.split] must return exactly what this
+   reference returns. *)
+module Seed_merge_reference = struct
+  type result = { p_side : bool array; p_size : int; p_pins : int }
+
+  (* Scratch block indices. *)
+  let external_b = 0
+  let block_a = 1
+  let block_b = 2
+  let pool = 3
+
+  (* BFS within the member set, starting from [start]; returns the last
+     node dequeued (approximately eccentric). *)
+  let far_member hg ~member start =
+    let seen = Array.make (Hg.num_nodes hg) false in
+    let q = Queue.create () in
+    seen.(start) <- true;
+    Queue.add start q;
+    let last = ref start in
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      last := v;
+      Array.iter
+        (fun e ->
+          Array.iter
+            (fun u ->
+              if (not seen.(u)) && member u then begin
+                seen.(u) <- true;
+                Queue.add u q
+              end)
+            (Hg.pins hg e))
+        (Hg.nets_of hg v)
+    done;
+    !last
+
+  let biggest_member hg ~member ~salt =
+    let best = ref (-1) in
+    let best_key = ref (-1, -1, min_int) in
+    Hg.iter_nodes
+      (fun v ->
+        if member v then begin
+          (* the salted id term lets multi-start runs pick different seeds
+             among equally big, equally connected candidates *)
+          let key = (Hg.size hg v, Hg.node_degree hg v, -(v lxor salt)) in
+          if key > !best_key then begin
+            best_key := key;
+            best := v
+          end
+        end)
+      hg;
+    !best
+
+  let split ?(salt = 0) hg ~member ~s_max ~t_max =
+    let n = Hg.num_nodes hg in
+    let seed_a = biggest_member hg ~member ~salt in
+    if seed_a < 0 then invalid_arg "Seed_merge.split: empty member set";
+    let st =
+      State.create hg ~k:4 ~assign:(fun v -> if member v then pool else external_b)
+    in
+    let seed_b = far_member hg ~member seed_a in
+    State.move st seed_a block_a;
+    if seed_b <> seed_a then State.move st seed_b block_b;
+    (* Frontier per block: pool nodes adjacent to the block.  Stored as a
+       membership array + list; stale entries are skipped at use. *)
+    let in_frontier = Array.make n (-1) in
+    (* -1 none, 1 in A's frontier, 2 in B's, 3 in both *)
+    let frontier = [| []; [] |] in
+    let add_frontier blk u =
+      let bit = if blk = block_a then 1 else 2 in
+      let cur = max 0 in_frontier.(u) in
+      if cur land bit = 0 then begin
+        in_frontier.(u) <- cur lor bit;
+        let idx = blk - 1 in
+        frontier.(idx) <- u :: frontier.(idx)
+      end
+    in
+    let extend_frontier blk v =
+      Array.iter
+        (fun e ->
+          Array.iter
+            (fun u -> if State.block_of st u = pool then add_frontier blk u)
+            (Hg.pins hg e))
+        (Hg.nets_of hg v)
+    in
+    extend_frontier block_a seed_a;
+    if seed_b <> seed_a then extend_frontier block_b seed_b;
+    (* Merge score: size gained per terminal paid after the tentative
+       merge (higher is better).  Also returns the resulting pin count so
+       the caller can enforce pin saturation. *)
+    let score blk u =
+      State.move st u blk;
+      let s = State.size_of st blk in
+      let t = max 1 (State.pins_of st blk) in
+      State.move st u pool;
+      (float_of_int s /. float_of_int t, t)
+    in
+    (* A candidate is acceptable when it fits the size budget and keeps
+       the pins within T_MAX — "merge stops when constraints are
+       saturated" covers both resources.  While the block is already
+       above the pin budget, pin-decreasing merges stay acceptable so a
+       temporary overshoot can be absorbed. *)
+    let pick blk =
+      let idx = blk - 1 in
+      let best = ref (-1) in
+      let best_score = ref neg_infinity in
+      let live = ref [] in
+      let pins_now = State.pins_of st blk in
+      List.iter
+        (fun u ->
+          if State.block_of st u = pool then begin
+            live := u :: !live;
+            if State.size_of st blk + Hg.size hg u <= s_max then begin
+              let sc, pins' = score blk u in
+              if pins' <= t_max || pins' < pins_now then
+                if sc > !best_score || (sc = !best_score && u lxor salt < !best lxor salt)
+                then begin
+                  best_score := sc;
+                  best := u
+                end
+            end
+          end)
+        frontier.(idx);
+      frontier.(idx) <- !live;
+      if !best >= 0 then Some !best else None
+    in
+    let saturated = [| false; false |] in
+    while not (saturated.(0) && saturated.(1)) do
+      List.iter
+        (fun blk ->
+          if not saturated.(blk - 1) then
+            match pick blk with
+            | None -> saturated.(blk - 1) <- true
+            | Some u ->
+              State.move st u blk;
+              extend_frontier blk u)
+        [ block_a; block_b ]
+    done;
+    let p = if State.size_of st block_a >= State.size_of st block_b then block_a else block_b in
+    let p_side = Array.init n (fun v -> State.block_of st v = p) in
+    { p_side; p_size = State.size_of st p; p_pins = State.pins_of st p }
+end
+
+(* Circuits with pads and cells of size 1-3, a random member set with
+   the rest committed to the external block, size budgets from roomy to
+   tight, pin budgets from 0 up (so the pin-saturation branch runs) and
+   random salts. *)
+let prop_seed_merge_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"seed merge matches the re-scoring reference"
+    QCheck.(
+      pair
+        (quad (int_range 4 120) (int_range 0 10_000) (int_range 1 200) (int_range 0 48))
+        (int_range 0 0xFFFF))
+    (fun ((cells, seed, s_max, t_max), salt) ->
+      let rng = Prng.Splitmix.create seed in
+      let h =
+        Fpart_testgen.resize
+          (Fpart_testgen.circuit ~name:"sm" ~cells ~pads:(1 + (cells / 8)) seed)
+          ~size:(fun _ -> Prng.Splitmix.int_in rng 1 3)
+      in
+      let members = Array.init (Hg.num_nodes h) (fun _ -> Prng.Splitmix.int rng 4 > 0) in
+      members.(Prng.Splitmix.int rng (Hg.num_nodes h)) <- true;
+      let member v = members.(v) in
+      let r = Fpart.Seed_merge.split ~salt h ~member ~s_max ~t_max in
+      let e = Seed_merge_reference.split ~salt h ~member ~s_max ~t_max in
+      r.Fpart.Seed_merge.p_side = e.Seed_merge_reference.p_side
+      && r.Fpart.Seed_merge.p_size = e.Seed_merge_reference.p_size
+      && r.Fpart.Seed_merge.p_pins = e.Seed_merge_reference.p_pins)
+
 (* --- Ratio_cut ----------------------------------------------------- *)
 
 let test_ratio_cut_basic () =
@@ -382,5 +552,6 @@ let () =
             prop_seed_merge_within_capacity;
             prop_bipartition_partitions;
             prop_ratio_cut_matches_reference;
+            prop_seed_merge_matches_reference;
           ] );
     ]

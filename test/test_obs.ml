@@ -445,23 +445,24 @@ let test_chrome_export_strict_json () =
 
 (* --- Inspect --- *)
 
+(* A span record; without [t] it has no begin time. *)
+let mk_span ~id ~parent ~name ?t ~dur () =
+  Json.Obj
+    ([
+       ("type", Json.Str "span");
+       ("name", Json.Str name);
+       ("dur_ms", Json.Float dur);
+       ("id", Json.Int id);
+       ("parent", Json.Int parent);
+       ("track", Json.Int 0);
+     ]
+    @ match t with Some t -> [ ("t_ms", Json.Float t) ] | None -> [])
+
 let test_inspect_analysis () =
-  let mk_span ~id ~parent ~name ~t ~dur =
-    Json.Obj
-      [
-        ("type", Json.Str "span");
-        ("name", Json.Str name);
-        ("dur_ms", Json.Float dur);
-        ("id", Json.Int id);
-        ("parent", Json.Int parent);
-        ("track", Json.Int 0);
-        ("t_ms", Json.Float t);
-      ]
-  in
   let records =
     [
-      mk_span ~id:2 ~parent:1 ~name:"inner" ~t:1.0 ~dur:4.0;
-      mk_span ~id:1 ~parent:0 ~name:"outer" ~t:0.0 ~dur:10.0;
+      mk_span ~id:2 ~parent:1 ~name:"inner" ~t:1.0 ~dur:4.0 ();
+      mk_span ~id:1 ~parent:0 ~name:"outer" ~t:0.0 ~dur:10.0 ();
       Json.Obj
         [
           ("type", Json.Str "schedule");
@@ -496,7 +497,7 @@ let test_inspect_analysis () =
     Alcotest.(check string) "step" "pair_latest" r.Inspect.c_step
   | rows -> Alcotest.failf "expected 1 conv row, got %d" (List.length rows));
   (* orphans are reported *)
-  let orphan = Inspect.of_records [ mk_span ~id:5 ~parent:9 ~name:"x" ~t:0.0 ~dur:1.0 ] in
+  let orphan = Inspect.of_records [ mk_span ~id:5 ~parent:9 ~name:"x" ~t:0.0 ~dur:1.0 () ] in
   Alcotest.(check bool) "orphan detected" true (Inspect.validate orphan <> []);
   (* jsonl loader reports the failing line *)
   match Inspect.load_string "{\"type\":\"span\"}\nnot json\n" with
@@ -504,6 +505,49 @@ let test_inspect_analysis () =
     Alcotest.(check bool) "line number in error" true
       (String.length e >= 6 && String.sub e 0 6 = "line 2")
   | Ok _ -> Alcotest.fail "malformed jsonl accepted"
+
+(* run [0, 10] holds [a] at [1, 9] and [b] at [3, 9], which ran at
+   once, then [c] at [9.5, 10]; [b] holds a 2 ms leaf.  The children
+   cover [1, 9] and [9.5, 10]: 8.5 of run's 10 ms. *)
+let overlapping_trace ~timed =
+  let span ~id ~parent ~name ~t ~dur =
+    mk_span ~id ~parent ~name ?t:(if timed then Some t else None) ~dur ()
+  in
+  Inspect.of_records
+    [
+      span ~id:2 ~parent:1 ~name:"a" ~t:1.0 ~dur:8.0;
+      span ~id:4 ~parent:3 ~name:"b.leaf" ~t:4.0 ~dur:2.0;
+      span ~id:3 ~parent:1 ~name:"b" ~t:3.0 ~dur:6.0;
+      span ~id:5 ~parent:1 ~name:"c" ~t:9.5 ~dur:0.5;
+      span ~id:1 ~parent:0 ~name:"run" ~t:0.0 ~dur:10.0;
+    ]
+
+let self_of t name =
+  match List.find_opt (fun h -> h.Inspect.h_name = name) (Inspect.hotspots t) with
+  | Some h -> h.Inspect.h_self_ms
+  | None -> Alcotest.failf "no %s row" name
+
+let test_inspect_self_overlapping () =
+  let t = overlapping_trace ~timed:true in
+  Alcotest.(check (list string)) "validates" [] (Inspect.validate t);
+  Alcotest.(check (float 1e-9)) "run self is the uncovered time" 1.5 (self_of t "run");
+  Alcotest.(check (float 1e-9)) "b self" 4.0 (self_of t "b");
+  Alcotest.(check (float 1e-9)) "leaf self" 8.0 (self_of t "a");
+  List.iter
+    (fun h ->
+      if h.Inspect.h_self_ms < 0.0 then
+        Alcotest.failf "%s self %.3f is negative" h.Inspect.h_name h.Inspect.h_self_ms)
+    (Inspect.hotspots t);
+  (* without begin times the children cannot be placed: sequential *)
+  Alcotest.(check (float 1e-9)) "untimed run self" (-4.5)
+    (self_of (overlapping_trace ~timed:false) "run")
+
+let test_inspect_coverage () =
+  (* non-leaf self: run 1.5 + b 4 of the root's 10 ms *)
+  Alcotest.(check (option (float 1e-9))) "leaf share of the root" (Some 0.45)
+    (Inspect.coverage (overlapping_trace ~timed:true));
+  Alcotest.(check (option (float 1e-9))) "no spans" None
+    (Inspect.coverage (Inspect.of_records []))
 
 (* --- Resource --- *)
 
@@ -1222,6 +1266,9 @@ let () =
           Alcotest.test_case "hotspots, convergence, validation" `Quick
             test_inspect_analysis;
           Alcotest.test_case "memspots and totals" `Quick test_mem_analysis;
+          Alcotest.test_case "self time with overlapping children" `Quick
+            test_inspect_self_overlapping;
+          Alcotest.test_case "leaf-span coverage" `Quick test_inspect_coverage;
         ] );
       ( "resource",
         [

@@ -192,10 +192,13 @@ let prop_gains_match_moves =
         let b = Prng.Splitmix.int rng k in
         let cg = State.cut_gain st v b in
         let pg = State.pin_gain st v b in
+        let pc = State.pin_change st v b in
         let cut0 = State.cut_size st and pins0 = State.total_pins st in
+        let dest0 = State.pins_of st b in
         State.move st v b;
         if cut0 - State.cut_size st <> cg then ok := false;
-        if pins0 - State.total_pins st <> pg then ok := false
+        if pins0 - State.total_pins st <> pg then ok := false;
+        if State.pins_of st b - dest0 <> pc then ok := false
       done;
       !ok)
 

@@ -59,6 +59,17 @@ let test_clear () =
   Vec.push v 9;
   Alcotest.(check int) "reusable" 9 (Vec.get v 0)
 
+let test_truncate () =
+  let v = Vec.create () in
+  List.iter (Vec.push v) [ 1; 2; 3; 4 ];
+  Vec.set v 1 4;
+  Vec.truncate v 2;
+  Alcotest.(check (array int)) "kept prefix" [| 1; 4 |] (Vec.to_array v);
+  Vec.push v 7;
+  Alcotest.(check int) "push after truncate" 7 (Vec.get v 2);
+  Alcotest.check_raises "longer than length"
+    (Invalid_argument "Vec.truncate: length out of bounds") (fun () -> Vec.truncate v 4)
+
 let test_make () =
   let v = Vec.make 4 'x' in
   Alcotest.(check int) "length" 4 (Vec.length v);
@@ -97,6 +108,7 @@ let () =
           Alcotest.test_case "fold" `Quick test_fold;
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "make" `Quick test_make;
+          Alcotest.test_case "truncate" `Quick test_truncate;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_growth ] );
