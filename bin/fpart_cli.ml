@@ -22,8 +22,6 @@ let load_circuit input generate seed =
 
 type algo = Algo_fpart | Algo_kwayx | Algo_fbb_mw
 
-type engine = Eng_flat | Eng_mlevel
-
 type log_level = Quiet | Info | Debug
 
 (* Observability wiring: --trace/--stats/--log-level all enable the
@@ -78,12 +76,11 @@ let algo_name = function
   | Algo_kwayx -> "kwayx"
   | Algo_fbb_mw -> "fbb-mw"
 
-let engine_name = function Eng_flat -> "flat" | Eng_mlevel -> "mlevel"
-
 (* Shared fpart configuration from the CLI knobs; also the canonical
    config-digest producer for the ledger (kwayx/fbb-mw runs digest the
    same record — their relevant knobs, delta and seed, live in it). *)
-let make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner =
+let make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner ~engine
+    ~runs =
   {
     Fpart.Config.default with
     delta;
@@ -92,14 +89,17 @@ let make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner =
     jobs;
     selfcheck;
     refiner;
+    engine;
+    runs;
   }
 
-let config_digest ~algo ~engine ~runs config =
-  Fpart.Config.digest
-    ~extra:
-      (Printf.sprintf "algo=%s;engine=%s;runs=%d" (algo_name algo)
-         (engine_name engine) runs)
-    config
+(* An FPART run's digest is the config's own, the same one fpart_serve
+   stamps on the same workload; the baselines tag their algorithm. *)
+let config_digest ~algo config =
+  match algo with
+  | Algo_fpart -> Fpart.Config.digest config
+  | Algo_kwayx | Algo_fbb_mw ->
+    Fpart.Config.digest ~extra:("algo=" ^ algo_name algo) config
 
 let netlist_digest = Hypergraph.Hgraph.digest
 
@@ -129,34 +129,15 @@ let algo_conv =
     | "fbb-mw" | "fbbmw" -> Ok Algo_fbb_mw
     | s -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
   in
-  let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Algo_fpart -> "fpart"
-      | Algo_kwayx -> "kwayx"
-      | Algo_fbb_mw -> "fbb-mw")
-  in
+  let print ppf a = Format.pp_print_string ppf (algo_name a) in
   Arg.conv (parse, print)
 
-let partition algo engine hg device ~config ~delta ~seed ~runs =
+let partition algo hg device ~config ~delta ~seed =
   match algo with
-  | Algo_fpart -> (
-    match engine with
-    | Eng_flat ->
-      let r = Fpart.Driver.run_best ~config ~runs hg device in
-      (r.Fpart.Driver.k, r.Fpart.Driver.assignment, r.Fpart.Driver.feasible,
-       r.Fpart.Driver.trace)
-    | Eng_mlevel ->
-      (* --runs becomes the coarse-level multi-start breadth *)
-      let mcfg =
-        if runs > 1 then
-          { Mlevel.Engine.default_config with Mlevel.Engine.coarse_runs = runs }
-        else Mlevel.Engine.default_config
-      in
-      let r = Mlevel.Engine.run ~config:mcfg ~base:config hg device in
-      let res = r.Mlevel.Engine.res in
-      (res.Fpart.Driver.k, res.Fpart.Driver.assignment,
-       res.Fpart.Driver.feasible, res.Fpart.Driver.trace))
+  | Algo_fpart ->
+    let r = Solve.run config hg device in
+    (r.Fpart.Driver.k, r.Fpart.Driver.assignment, r.Fpart.Driver.feasible,
+     r.Fpart.Driver.trace)
   | Algo_kwayx ->
     let r = Fpart.Kwayx.run ?delta hg device in
     (r.Fpart.Kwayx.k, r.Fpart.Kwayx.assignment, r.Fpart.Kwayx.feasible, [])
@@ -219,10 +200,11 @@ let main input generate device_name delta algo engine seed runs cluster jobs
         | None ->
         let t0 = Unix.gettimeofday () in
         let config =
-          make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner
+          make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner ~engine
+            ~runs
         in
         let k, assignment, feasible, trace_events =
-          partition algo engine hg device ~config ~delta ~seed ~runs
+          partition algo hg device ~config ~delta ~seed
         in
         let wall_s = Unix.gettimeofday () -. t0 in
         let violations = Fpart_check.Selfcheck.violations_seen () in
@@ -279,8 +261,8 @@ let main input generate device_name delta algo engine seed runs cluster jobs
           in
           let prefix =
             match engine with
-            | Eng_flat -> prefix
-            | Eng_mlevel -> prefix ^ "-mlevel"
+            | Fpart.Config.Flat -> prefix
+            | Fpart.Config.Mlevel -> prefix ^ "-mlevel"
           in
           let row rname value unit_ higher_better =
             { Fpart_obs.Ledger.name = prefix ^ "/" ^ rname; value; unit_; higher_better }
@@ -288,7 +270,7 @@ let main input generate device_name delta algo engine seed runs cluster jobs
           append_ledger path
             ~label:(Printf.sprintf "%s on %s (%s)" name device.Device.dev_name (algo_name algo))
             ~jobs
-            ~config_digest:(config_digest ~algo ~engine ~runs config)
+            ~config_digest:(config_digest ~algo config)
             ~netlist_digest:(netlist_digest hg)
             ~rows:
               [
@@ -354,14 +336,15 @@ let algo =
 let engine =
   Arg.(
     value
-    & opt (enum [ ("flat", Eng_flat); ("mlevel", Eng_mlevel) ]) Eng_flat
+    & opt (enum Fpart.Config.engines) Fpart.Config.Flat
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Partitioning engine (fpart only): $(b,flat) (default, the paper's \
            recursive driver on the full netlist) or $(b,mlevel) (the \
            multilevel V-cycle: coarsen by heavy-edge matching, partition \
-           the coarsest graph — $(b,--runs) seeds — then uncoarsen with \
-           bounded refinement per level; for 10^5-cell-and-up circuits).")
+           the coarsest graph from max(3, $(b,--runs)) seeds, then \
+           uncoarsen with bounded refinement per level; for \
+           10^5-cell-and-up circuits).")
 
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
@@ -381,7 +364,10 @@ let runs =
     value
     & opt (positive_conv "N") 1
     & info [ "runs" ] ~docv:"N"
-        ~doc:"Multi-start: run FPART N times with different seeds and keep the best (fpart only).")
+        ~doc:
+          "Multi-start: run FPART N times with different seeds and keep the \
+           best (fpart only). With $(b,--engine mlevel) the starts run on \
+           the coarsest graph, at least 3 of them.")
 
 let cluster =
   Arg.(
@@ -416,13 +402,7 @@ let selfcheck =
 let refiner =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("sanchis", Fpart.Config.Sanchis_refiner);
-             ("hybrid", Fpart.Config.Hybrid_refiner);
-           ])
-        Fpart.Config.Sanchis_refiner
+    & opt (enum Fpart.Config.refiners) Fpart.Config.Sanchis_refiner
     & info [ "refiner" ] ~docv:"BACKEND"
         ~doc:
           "Improvement backend for the Improve() calls and the uncoarsening refinement: $(b,sanchis) (default, the paper's gain-bucket passes) or $(b,hybrid) (Sanchis first, then corridor max-flow min-cut sweeps on the blocks where the Sanchis passes retained zero moves). Both respect the feasible move windows; flow proposals apply only when they improve the solution value without growing the cut (fpart only).")

@@ -204,14 +204,18 @@ let check_gains rng hg =
 let check_mlevel rng hg =
   let device = device_of_name (Sm.choose rng devices) in
   let seed = Sm.int rng 0xFFFF in
-  let flat =
-    Fpart.Driver.run ~config:{ Fpart.Config.default with seed } hg device
-  in
-  let base =
-    { Fpart.Config.default with seed; selfcheck = Check.Selfcheck.Cheap }
-  in
+  let flat = Solve.run { Fpart.Config.default with seed } hg device in
   let before = Check.Selfcheck.violations_seen () in
-  let ml = (Mlevel.Engine.run ~base hg device).Mlevel.Engine.res in
+  let ml =
+    Solve.run
+      {
+        Fpart.Config.default with
+        seed;
+        selfcheck = Check.Selfcheck.Cheap;
+        engine = Fpart.Config.Mlevel;
+      }
+      hg device
+  in
   let after = Check.Selfcheck.violations_seen () in
   let o =
     Check.Oracle.recompute hg ~k:ml.Fpart.Driver.k

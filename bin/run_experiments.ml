@@ -34,7 +34,8 @@ let run jobs engine refiner trace trace_format selected =
     prerr_endline ("# " ^ msg);
     flush stderr
   in
-  let t = Report.Experiments.create ~progress ~jobs ~engine ~refiner () in
+  let config = { Fpart.Config.default with engine; refiner } in
+  let t = Report.Experiments.create ~progress ~jobs ~config () in
   Fun.protect
     ~finally:(fun () ->
       Report.Experiments.shutdown t;
@@ -76,34 +77,21 @@ let jobs =
   Arg.(value & opt jobs_conv 1 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
 
 let engine =
-  let engine_conv =
-    Arg.enum
-      [
-        ("flat", Report.Experiments.Flat);
-        ("mlevel", Report.Experiments.Multilevel);
-      ]
-  in
   let doc =
     "Engine behind the FPART runs: $(b,flat) (the paper's driver) or \
-     $(b,mlevel) (the multilevel V-cycle)."
+     $(b,mlevel) (the multilevel V-cycle).  The $(b,modern) table runs \
+     both engines whichever is chosen."
   in
-  Arg.(value & opt engine_conv Report.Experiments.Flat
+  Arg.(value & opt (enum Fpart.Config.engines) Fpart.Config.Flat
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let refiner =
-  let refiner_conv =
-    Arg.enum
-      [
-        ("sanchis", Fpart.Config.Sanchis_refiner);
-        ("hybrid", Fpart.Config.Hybrid_refiner);
-      ]
-  in
   let doc =
     "Improvement backend behind the FPART runs: $(b,sanchis) (the \
      paper's gain-bucket passes) or $(b,hybrid) (Sanchis with corridor \
      max-flow escalation on stalled pairs)."
   in
-  Arg.(value & opt refiner_conv Fpart.Config.Sanchis_refiner
+  Arg.(value & opt (enum Fpart.Config.refiners) Fpart.Config.Sanchis_refiner
        & info [ "refiner" ] ~docv:"BACKEND" ~doc)
 
 let cmd =

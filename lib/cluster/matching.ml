@@ -7,16 +7,9 @@ type policy = Pairs | Agglomerate
    broadcast); skipping them keeps a matching pass O(pins). *)
 let net_degree_cap = 64
 
-let compute ~policy ~max_weight ?within ~seed hg =
+let compute ~policy ~max_weight ~seed hg =
   if max_weight < 1 then invalid_arg "Matching.compute: max_weight < 1";
   let n = Hg.num_nodes hg in
-  (match within with
-  | Some p when Array.length p <> n ->
-    invalid_arg "Matching.compute: within length <> num_nodes"
-  | _ -> ());
-  let same u v =
-    match within with None -> true | Some p -> p.(u) = p.(v)
-  in
   (* group.(v) = tag of v's group (a fine node id); -1 while unmatched *)
   let group = Array.make n (-1) in
   let score = Array.make n 0.0 in
@@ -39,9 +32,7 @@ let compute ~policy ~max_weight ?within ~seed hg =
           Array.iter
             (fun u ->
               if
-                u <> m && group.(u) < 0
-                && (not (Hg.is_pad hg u))
-                && same u m
+                u <> m && group.(u) < 0 && not (Hg.is_pad hg u)
               then begin
                 if score.(u) = 0.0 then begin
                   touched.(!ntouched) <- u;

@@ -16,7 +16,7 @@
     {!Hypergraph.Hgraph.contract} requires.  All tie-breaks are by
     lowest node id and the visit order comes from a seeded
     {!Prng.Splitmix} shuffle, so a matching is a pure function of
-    [(graph, policy, max_weight, within, seed)]. *)
+    [(graph, policy, max_weight, seed)]. *)
 
 type policy =
   | Pairs
@@ -28,22 +28,18 @@ type policy =
           stays within [max_weight].  {!Cluster}'s historical
           behaviour, reaching higher per-pass reduction. *)
 
-(** [compute ~policy ~max_weight ?within ~seed hg] returns
+(** [compute ~policy ~max_weight ~seed hg] returns
     [(map, coarse_nodes)] where [map.(v)] is [v]'s group and group ids
     are dense, numbered by each group's lowest fine node id (so the
     result is independent of visit order up to the grouping itself).
 
     No group's summed node size exceeds [max_weight] (a node already
-    heavier than the cap stays a singleton).  [within], when given,
-    restricts matching to nodes with equal [within.(v)] — used by
-    repeated V-cycles to coarsen without crossing block boundaries.
+    heavier than the cap stays a singleton).
 
-    @raise Invalid_argument if [max_weight < 1] or [within] has the
-    wrong length. *)
+    @raise Invalid_argument if [max_weight < 1]. *)
 val compute :
   policy:policy ->
   max_weight:int ->
-  ?within:int array ->
   seed:int ->
   Hypergraph.Hgraph.t ->
   int array * int

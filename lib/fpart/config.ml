@@ -1,13 +1,12 @@
 type refiner = Sanchis_refiner | Hybrid_refiner
+type engine = Flat | Mlevel
 
-let refiner_name = function
-  | Sanchis_refiner -> "sanchis"
-  | Hybrid_refiner -> "hybrid"
-
-let refiner_of_string = function
-  | "sanchis" -> Some Sanchis_refiner
-  | "hybrid" -> Some Hybrid_refiner
-  | _ -> None
+let refiners = [ ("sanchis", Sanchis_refiner); ("hybrid", Hybrid_refiner) ]
+let engines = [ ("flat", Flat); ("mlevel", Mlevel) ]
+let name_in table v = fst (List.find (fun (_, v') -> v' = v) table)
+let refiner_name = name_in refiners
+let engine_name = name_in engines
+let refiner_of_string s = List.assoc_opt s refiners
 
 type t = {
   delta : float option;
@@ -29,6 +28,8 @@ type t = {
   random_initial : bool;
   cluster_size : int option;
   refiner : refiner;
+  engine : engine;
+  runs : int;
   seed : int;
   jobs : int;
   selfcheck : Fpart_check.Selfcheck.level;
@@ -55,6 +56,8 @@ let default =
     random_initial = false;
     cluster_size = None;
     refiner = Sanchis_refiner;
+    engine = Flat;
+    runs = 1;
     seed = 0x5eed;
     jobs = 1;
     selfcheck = Fpart_check.Selfcheck.Off;
@@ -63,7 +66,7 @@ let default =
 let delta_for t device =
   match t.delta with Some d -> d | None -> Device.paper_delta device
 
-let engine t =
+let sanchis t =
   let module Selfcheck = Fpart_check.Selfcheck in
   let paranoid = Selfcheck.at_least t.selfcheck Selfcheck.Paranoid in
   let pin = t.gain_mode = Sanchis.Pin_gain in
@@ -99,14 +102,14 @@ let free_space t ~s_max ~t_max ~size ~pins =
 (* Canonical configuration digest: every field that can change the
    partitioning result, rendered to a fixed textual form and hashed.
    This is the producer behind the [config_digest] field of run-ledger
-   entries; [?extra] lets a caller fold in knobs living outside this
-   record (CLI algorithm/engine selection, run counts). *)
+   entries and serve responses; [?extra] lets a caller fold in knobs
+   living outside this record (the CLI's baseline algorithm). *)
 let digest ?(extra = "") t =
   let b = Buffer.create 256 in
   let f name v = Buffer.add_string b (Printf.sprintf "%s=%.9g;" name v) in
   let i name v = Buffer.add_string b (Printf.sprintf "%s=%d;" name v) in
   let s name v = Buffer.add_string b (Printf.sprintf "%s=%s;" name v) in
-  s "schema" "fpart-config/1";
+  s "schema" "fpart-config/2";
   (match t.delta with Some d -> f "delta" d | None -> s "delta" "paper");
   f "sigma1" t.sigma1;
   f "sigma2" t.sigma2;
@@ -133,6 +136,8 @@ let digest ?(extra = "") t =
   s "random_initial" (string_of_bool t.random_initial);
   (match t.cluster_size with Some c -> i "cluster" c | None -> s "cluster" "off");
   s "refiner" (refiner_name t.refiner);
+  s "engine" (engine_name t.engine);
+  i "runs" t.runs;
   i "seed" t.seed;
   if extra <> "" then s "extra" extra;
   (* jobs and selfcheck deliberately excluded: both are documented to

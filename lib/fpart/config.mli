@@ -29,9 +29,27 @@
     without growing the cut.  See docs/FLOW_REFINEMENT.md. *)
 type refiner = Sanchis_refiner | Hybrid_refiner
 
-(** CLI-facing names: ["sanchis"], ["hybrid"]. *)
+(** Which engine [Solve.run] drives:
+
+    - [Flat] — the paper's recursive driver ({!Driver}) on the full
+      netlist (default);
+    - [Mlevel] — the post-paper multilevel V-cycle ([Mlevel.Engine]):
+      coarsen, run FPART on the coarsest graph, uncoarsen with bounded
+      refinement per level.  See docs/MULTILEVEL.md. *)
+type engine = Flat | Mlevel
+
+(** The one table of CLI- and protocol-facing names of each enum:
+    ["sanchis"]/["hybrid"] and ["flat"]/["mlevel"].  The binaries build
+    their option parsers from these. *)
+val refiners : (string * refiner) list
+
+val engines : (string * engine) list
+
 val refiner_name : refiner -> string
 
+val engine_name : engine -> string
+
+(** [refiner_of_string s] looks [s] up in {!refiners}. *)
 val refiner_of_string : string -> refiner option
 
 type t = {
@@ -71,11 +89,20 @@ type t = {
   refiner : refiner;
       (** Improvement backend: Sanchis gain buckets (published) or the
           hybrid's flow escalation.  Default [Sanchis_refiner]. *)
+  engine : engine;
+      (** Engine [Solve.run] dispatches to.  Default [Flat].  {!Driver}
+          is the flat engine itself and ignores this field. *)
+  runs : int;
+      (** Multi-start breadth ("number of runs", one of the classical
+          FM parameters of the paper's section 1), at least 1.
+          [Solve.run] gives it to {!Driver.run_best} on [Flat], and
+          runs [max 3 runs] starts on the coarsest graph on [Mlevel].
+          {!Driver.run} ignores it.  Default 1. *)
   seed : int;             (** PRNG seed for deterministic tie-breaks. *)
   jobs : int;
       (** Domain budget for the execution layer ([Fpart_exec]): the
-          multi-start runs of {!Driver.run_best}, the initial-bipartition
-          portfolio and {!Driver.run_batch} fan out over this many
+          multi-start runs of {!Driver.run_best} and the
+          initial-bipartition portfolio fan out over this many
           domains.  [1] (default) is the exact sequential path.  Results
           are bit-identical for every value — see docs/PARALLELISM.md. *)
   selfcheck : Fpart_check.Selfcheck.level;
@@ -93,12 +120,12 @@ val default : t
 (** [delta_for t device] resolves the filling ratio. *)
 val delta_for : t -> Device.t -> float
 
-(** [engine t] derives the Sanchis engine configuration.  At
+(** [sanchis t] derives the Sanchis engine configuration.  At
     [selfcheck = Paranoid] it installs both hooks: [on_move] validates
     the state after every applied move, and [on_gain_update] compares
     every reported bucket gain with the oracle
     ({!Fpart_check.Selfcheck.validate_gain}). *)
-val engine : t -> Sanchis.config
+val sanchis : t -> Sanchis.config
 
 (** [flow t] is the corridor-sweep budget of the hybrid's flow
     escalation: {!Flow.Refine.default_config} with the pass budget
@@ -112,9 +139,10 @@ val flow : t -> Flow.Refine.config
 val free_space : t -> s_max:int -> t_max:int -> size:int -> pins:int -> float
 
 (** [digest ?extra t] is a hex digest of the canonical rendering of
-    every result-relevant field ([jobs] and [selfcheck] are excluded —
-    both are documented never to change the produced partition).
-    [?extra] folds caller-side knobs (CLI algorithm/engine, run counts)
-    into the same digest.  This is the producer behind the
-    [config_digest] field of run-ledger entries. *)
+    every result-relevant field, [engine] and [runs] included ([jobs]
+    and [selfcheck] are excluded — both are documented never to change
+    the produced partition).  [?extra] folds caller-side knobs (the
+    CLI's baseline algorithm) into the same digest.  This is the
+    producer behind the [config_digest] field of run-ledger entries
+    and serve responses, so one workload gets one digest from both. *)
 val digest : ?extra:string -> t -> string

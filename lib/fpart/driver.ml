@@ -175,7 +175,7 @@ let refine config ctx st =
   else begin
   let lower = Array.make k 0 and upper = Array.make k ctx.Cost.s_max in
   let eval st = Cost.evaluate config.Config.cost ctx st ~remainder:None ~step_k:k in
-  let engine = Config.engine config in
+  let engine = Config.sanchis config in
   let boundary st =
     if Fpart_check.Selfcheck.at_least config.Config.selfcheck Fpart_check.Selfcheck.Cheap
     then ignore (Fpart_check.Selfcheck.validate ~where:"driver.refine" st)
@@ -283,14 +283,6 @@ let run_best ?(config = Config.default) ?jobs ~runs hg device =
                  (Array.make runs ())))
   in
   { r with cpu_seconds = Sys.time () -. t0 }
-
-let run_batch ?(config = Config.default) ?jobs ?timeout_s jobs_list =
-  let jobs = match jobs with Some j -> j | None -> config.Config.jobs in
-  if jobs < 1 then invalid_arg "Driver.run_batch: jobs < 1";
-  Fpart_exec.Pool.with_pool ~jobs (fun pool ->
-      Fpart_exec.Batch.run ?timeout_s ~pool
-        ~f:(fun (hg, device) -> run ~config hg device)
-        jobs_list)
 
 (* Multi-start with per-run isolation: every seed runs as its own Batch
    job, so one crashing or overrunning start yields an [Error] slot

@@ -60,19 +60,6 @@ val run_best :
   Device.t ->
   result
 
-(** [run_batch ?config ?jobs ?timeout_s jobs_list] partitions a list of
-    [(circuit, device)] jobs in parallel on a fresh pool of [jobs]
-    domains (default [config.jobs]), with {!Fpart_exec.Batch} isolation:
-    a crashing or overrunning job yields an [Error] slot and never kills
-    the batch.  Results come back in job order.
-    @raise Invalid_argument if [jobs < 1]. *)
-val run_batch :
-  ?config:Config.t ->
-  ?jobs:int ->
-  ?timeout_s:float ->
-  (Hypergraph.Hgraph.t * Device.t) list ->
-  (result, Fpart_exec.Batch.error) Stdlib.result list
-
 (** [pick_best_opt results] reduces a fan-out with the lexicographic
     comparison of {!run_best} (fewest devices, then feasibility, cut,
     total pins), scanning in run order; [None] on an empty array.  Use

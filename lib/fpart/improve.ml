@@ -55,7 +55,7 @@ let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
      record below. *)
   let sp = Recorder.span_begin "improve.pass" in
   let refiner = t.cfg.Config.refiner in
-  let report = Sanchis.improve st ~spec ~config:(Config.engine t.cfg) ~eval in
+  let report = Sanchis.improve st ~spec ~config:(Config.sanchis t.cfg) ~eval in
   (* The hybrid escalates to flow exactly when Sanchis stalled: a pass
      that retained zero moves means the gain buckets see no profitable
      trajectory, which is the situation corridor min-cuts unblock. *)
@@ -64,7 +64,7 @@ let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
       Some (Flow.Refine.refine_active (Config.flow t.cfg) st ~active ~lower ~upper ~eval)
     else None
   in
-  (* the per-move checks of the paranoid level ride in [Config.engine] *)
+  (* the per-move checks of the paranoid level ride in [Config.sanchis] *)
   if Selfcheck.at_least t.cfg.Config.selfcheck Selfcheck.Cheap then
     ignore (Selfcheck.validate ~where:"improve.boundary" st);
   (* After the Sanchis passes the state sits at the retained best, so a

@@ -10,26 +10,16 @@ module Oracle = Fpart_check.Oracle
 module Config = Fpart.Config
 module Driver = Fpart.Driver
 
-type config = {
-  coarsen_thresh : int;
-  max_weight_frac : float;
-  min_reduction : float;
-  max_levels : int;
-  coarse_runs : int;
-  refine_passes : int;
-  cycles : int;
-}
-
-let default_config =
-  {
-    coarsen_thresh = 160;
-    max_weight_frac = 0.125;
-    min_reduction = 1.1;
-    max_levels = 24;
-    coarse_runs = 3;
-    refine_passes = 1;
-    cycles = 1;
-  }
+(* The hierarchy's shape.  Coarsening stops at [coarsen_thresh] nodes
+   (before the 12·M floor and the pad allowance), after [max_levels]
+   levels, or when a level shrinks by less than [min_reduction];
+   contracted weight is capped at [max_weight_frac]·S_MAX, and each
+   level gets [refine_passes] Sanchis passes. *)
+let coarsen_thresh = 160
+let max_weight_frac = 0.125
+let min_reduction = 1.1
+let max_levels = 24
+let refine_passes = 1
 
 type level_stat = {
   level : int;
@@ -66,24 +56,20 @@ type level = {
    so the threshold is on top of the pad count), the hierarchy hits
    [max_levels], or a matching pass stops pulling its weight.  Returns
    levels finest-first. *)
-let coarsen_hierarchy mcfg ~max_w ~thresh ~seed ?within hg0 =
+let coarsen_hierarchy ~max_w ~thresh ~seed hg0 =
   let levels = ref [] in
   let hg = ref hg0 in
   let flat_map = ref (Array.init (Hg.num_nodes hg0) Fun.id) in
-  let cur_within = ref within in
   let idx = ref 0 in
   let stop = ref false in
-  while
-    (not !stop) && !idx < mcfg.max_levels && Hg.num_nodes !hg > thresh
-  do
+  while (not !stop) && !idx < max_levels && Hg.num_nodes !hg > thresh do
     let fine_nodes = Hg.num_nodes !hg in
     let map, nc =
       Matching.compute ~policy:Matching.Pairs ~max_weight:max_w
-        ?within:!cur_within
         ~seed:(seed + (0x9e37 * (!idx + 1)))
         !hg
     in
-    if float_of_int fine_nodes /. float_of_int nc < mcfg.min_reduction then
+    if float_of_int fine_nodes /. float_of_int nc < min_reduction then
       stop := true
     else begin
       let coarse = Hg.contract !hg ~map ~coarse_nodes:nc in
@@ -92,12 +78,6 @@ let coarsen_hierarchy mcfg ~max_w ~thresh ~seed ?within hg0 =
       flat_map := Array.map (fun c -> map.(c)) !flat_map;
       levels :=
         { index = !idx; graph = coarse; map; flat_map = !flat_map } :: !levels;
-      (match !cur_within with
-      | Some w ->
-        let w' = Array.make nc (-1) in
-        Array.iteri (fun v c -> w'.(c) <- w.(v)) map;
-        cur_within := Some w'
-      | None -> ());
       if Obs.enabled () then
         Recorder.event
           [
@@ -141,8 +121,7 @@ let crosscheck base ~hg ~k ~lvl_index ~flat_map st =
 (* Refine one level: seed a fresh state (and thus gain buckets) from
    the projected assignment, run the bounded flat improvement, record
    the convergence point.  Returns the refined assignment. *)
-let refine_level mcfg base ~ctx ~hg ~k ~stats ~lvl_index ~flat_map lvl_hg
-    assign =
+let refine_level base ~ctx ~hg ~k ~stats ~lvl_index ~flat_map lvl_hg assign =
   Obs.incr c_refines;
   let refine_cfg =
     (* The projected partition is already near its pass optimum, so a
@@ -156,7 +135,7 @@ let refine_level mcfg base ~ctx ~hg ~k ~stats ~lvl_index ~flat_map lvl_hg
     in
     {
       base with
-      Config.max_passes = mcfg.refine_passes;
+      Config.max_passes = refine_passes;
       Config.cluster_size = None;
       Config.drift_limit = drift;
     }
@@ -199,21 +178,13 @@ let refine_level mcfg base ~ctx ~hg ~k ~stats ~lvl_index ~flat_map lvl_hg
     :: !stats;
   State.assignment st
 
-(* Unwind a hierarchy: optionally refine the coarsest level itself
-   (V-cycle repeats), then project level by level, refining at each
-   finer level down to and including the flat graph. *)
-let descend mcfg base ~ctx ~hg ~levels ~k ~stats ~refine_top assign_top =
+(* Unwind a hierarchy: project level by level, refining at each finer
+   level down to and including the flat graph. *)
+let descend base ~ctx ~hg ~levels ~k ~stats assign_top =
   let arr = Array.of_list levels in
-  let t = Array.length arr in
   let identity = lazy (Array.init (Hg.num_nodes hg) Fun.id) in
   let assign = ref assign_top in
-  if refine_top && t > 0 then begin
-    let top = arr.(t - 1) in
-    assign :=
-      refine_level mcfg base ~ctx ~hg ~k ~stats ~lvl_index:top.index
-        ~flat_map:top.flat_map top.graph !assign
-  end;
-  for i = t - 1 downto 0 do
+  for i = Array.length arr - 1 downto 0 do
     let lvl = arr.(i) in
     let fine_assign = Array.map (fun c -> !assign.(c)) lvl.map in
     let fine_hg, fine_map, fine_index =
@@ -222,12 +193,12 @@ let descend mcfg base ~ctx ~hg ~levels ~k ~stats ~refine_top assign_top =
         (arr.(i - 1).graph, arr.(i - 1).flat_map, arr.(i - 1).index)
     in
     assign :=
-      refine_level mcfg base ~ctx ~hg ~k ~stats ~lvl_index:fine_index
+      refine_level base ~ctx ~hg ~k ~stats ~lvl_index:fine_index
         ~flat_map:fine_map fine_hg fine_assign
   done;
   !assign
 
-let run ?(config = default_config) ?(base = Config.default) hg device =
+let run ?(base = Config.default) hg device =
   let t0 = Sys.time () in
   let sp_run = Recorder.span_begin "mlevel.run" in
   let delta = Config.delta_for base device in
@@ -236,15 +207,12 @@ let run ?(config = default_config) ?(base = Config.default) hg device =
   let n0 = Hg.num_nodes hg in
   (* pads never contract, so the stop threshold sits on top of them;
      12·M keeps enough resolution for an M-way coarse partition *)
-  let thresh = max config.coarsen_thresh (12 * m) + Hg.num_pads hg in
+  let thresh = max coarsen_thresh (12 * m) + Hg.num_pads hg in
   let max_w =
-    max 1
-      (int_of_float (config.max_weight_frac *. float_of_int ctx.Cost.s_max))
+    max 1 (int_of_float (max_weight_frac *. float_of_int ctx.Cost.s_max))
   in
   let sp_c = Recorder.span_begin "mlevel.coarsen" in
-  let levels =
-    coarsen_hierarchy config ~max_w ~thresh ~seed:base.Config.seed hg
-  in
+  let levels = coarsen_hierarchy ~max_w ~thresh ~seed:base.Config.seed hg in
   let nlevels = List.length levels in
   let top = match List.rev levels with l :: _ -> Some l | [] -> None in
   let top_hg = match top with Some l -> l.graph | None -> hg in
@@ -259,9 +227,10 @@ let run ?(config = default_config) ?(base = Config.default) hg device =
       ];
   let sp_i = Recorder.span_begin "mlevel.initial" in
   let coarse_cfg = { base with Config.cluster_size = None } in
-  let r0 =
-    Driver.run_best ~config:coarse_cfg ~runs:config.coarse_runs top_hg device
-  in
+  (* the coarsest graph is small, so three starts cost little; --runs
+     can raise the count but never lower it *)
+  let coarse_runs = max 3 base.Config.runs in
+  let r0 = Driver.run_best ~config:coarse_cfg ~runs:coarse_runs top_hg device in
   let k = r0.Driver.k in
   Recorder.span_end sp_i
     ~attrs:
@@ -269,36 +238,13 @@ let run ?(config = default_config) ?(base = Config.default) hg device =
         ("nodes", Json.Int top_nodes);
         ("k", Json.Int k);
         ("feasible", Json.Bool r0.Driver.feasible);
-        ("runs", Json.Int config.coarse_runs);
+        ("runs", Json.Int coarse_runs);
       ];
   let stats = ref [] in
   let sp_u = Recorder.span_begin "mlevel.uncoarsen" in
-  let assign =
-    ref
-      (descend config base ~ctx ~hg ~levels ~k ~stats ~refine_top:false
-         r0.Driver.assignment)
-  in
-  Recorder.span_end sp_u ~attrs:[ ("cycle", Json.Int 1) ];
-  for cycle = 2 to config.cycles do
-    let levels' =
-      coarsen_hierarchy config ~max_w ~thresh
-        ~seed:(base.Config.seed + (0x51 * cycle))
-        ~within:!assign hg
-    in
-    match List.rev levels' with
-    | [] -> ()
-    | top' :: _ ->
-      (* clusters respect blocks, so the coarse seed partition is just
-         the flat one read through the composed map *)
-      let top_assign = Array.make (Hg.num_nodes top'.graph) 0 in
-      Array.iteri (fun v c -> top_assign.(c) <- !assign.(v)) top'.flat_map;
-      let sp = Recorder.span_begin "mlevel.uncoarsen" in
-      assign :=
-        descend config base ~ctx ~hg ~levels:levels' ~k ~stats
-          ~refine_top:true top_assign;
-      Recorder.span_end sp ~attrs:[ ("cycle", Json.Int cycle) ]
-  done;
-  let st = State.create hg ~k ~assign:(fun v -> !assign.(v)) in
+  let assign = descend base ~ctx ~hg ~levels ~k ~stats r0.Driver.assignment in
+  Recorder.span_end sp_u ~attrs:[];
+  let st = State.create hg ~k ~assign:(fun v -> assign.(v)) in
   if Selfcheck.at_least base.Config.selfcheck Selfcheck.Cheap then
     ignore (Selfcheck.validate ~where:"mlevel.final" st);
   let feasible = Cost.classify ctx st = Cost.Feasible in

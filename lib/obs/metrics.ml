@@ -213,22 +213,6 @@ let hist_mean h =
   if cell.total_count = 0 then Float.nan
   else cell.total_sum /. float_of_int cell.total_count
 
-type span = float
-
-let span_begin () = if Atomic.get enabled_flag then Clock.now () else -1.0
-
-let span_end t0 ~name ~attrs =
-  if t0 >= 0.0 then begin
-    let dur_ms = (Clock.now () -. t0) *. 1000.0 in
-    observe (histogram name) dur_ms;
-    Sink.emit
-      (Json.Obj
-         (("type", Json.Str "span")
-         :: ("name", Json.Str name)
-         :: ("dur_ms", Json.Float dur_ms)
-         :: attrs))
-  end
-
 (* {2 Cross-domain snapshots} *)
 
 (* A histogram snapshot carries the ring contents in insertion order

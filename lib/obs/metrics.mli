@@ -1,4 +1,5 @@
-(** Process-wide metrics registry: counters, histograms and spans.
+(** Process-wide metrics registry: counters and histograms.  Timed
+    spans live in {!Recorder}, which feeds the histograms here.
 
     Designed so that instrumentation can stay in the hot paths
     permanently:
@@ -6,9 +7,8 @@
     - counters are plain [int] field increments, always on, never
       allocating — cheap enough for per-move / per-bucket-operation
       call sites;
-    - histogram observations and spans are gated on {!enabled} and cost
-      one branch when the layer is off (spans additionally skip the
-      clock read);
+    - histogram observations are gated on {!enabled} and cost one
+      branch when the layer is off;
     - sinks only see records when {!enabled} is set.
 
     Counters and histograms are interned by name: creating the same
@@ -94,20 +94,6 @@ val hist_max : histogram -> float
 
 (** Lifetime mean ({!hist_sum} / {!count}). *)
 val hist_mean : histogram -> float
-
-(** {1 Spans}
-
-    A span is a start timestamp; {!span_begin} returns a negative
-    sentinel when the layer is disabled and {!span_end} is then a
-    no-op.  Ending a span records its duration (ms) in the histogram
-    interned under [name] and emits a
-    [{"type":"span","name":...,"dur_ms":...,<attrs>}] record to the
-    current {!Sink}. *)
-
-type span = float
-
-val span_begin : unit -> span
-val span_end : span -> name:string -> attrs:(string * Json.t) list -> unit
 
 (** {1 Cross-domain snapshots} *)
 

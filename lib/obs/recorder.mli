@@ -1,17 +1,15 @@
-(** Flight recorder: hierarchical spans over the flat {!Metrics} layer.
+(** Flight recorder: hierarchical spans over the {!Metrics} layer.
 
-    A recorder span is a {!Metrics} span plus tree structure: every
-    span record carries a process-unique [id], the [parent] id of the
-    span open on the same domain when it began ([0] for a root), the
-    domain [track] it ran on, and an epoch-relative begin time [t_ms].
-    Records keep the [{"type":"span","name":...,"dur_ms":...}] prefix
-    of the flat layer, so existing consumers (stats tables, cram
-    greps) read them unchanged, and every [span_end] still feeds the
-    duration histogram of the same name.
+    A span record is [{"type":"span","name":...,"dur_ms":...}] plus
+    tree structure: a process-unique [id], the [parent] id of the span
+    open on the same domain when it began ([0] for a root), the domain
+    [track] it ran on, and an epoch-relative begin time [t_ms].  Every
+    [span_end] also feeds the {!Metrics} duration histogram of the
+    span's name.
 
-    Recording is gated on {!Metrics.enabled} with the same cost model
-    as flat spans: when disabled, {!span_begin} returns a shared
-    sentinel and {!span_end} is a single comparison.
+    Recording is gated on {!Metrics.enabled}: when disabled,
+    {!span_begin} returns a shared sentinel and {!span_end} is a single
+    comparison.
 
     {2 Determinism across domains}
 

@@ -42,8 +42,8 @@ let jsonl oc =
    pid 1 with the domain track as tid; recorder resource records
    ([{"type":"counter",...}]) become counter ["C"] events named
    "memory" whose numeric args Perfetto plots as heap/RSS tracks;
-   every other record (trace events, pass/schedule telemetry, legacy
-   flat spans) becomes an instant ["i"] event at its emission time.  The remaining record
+   every other record (trace events, pass/schedule telemetry) becomes
+   an instant ["i"] event at its emission time.  The remaining record
    fields — including the recorder's [id]/[parent] span ids — ride in
    ["args"], so offline tooling can rebuild the span tree from the
    chrome file too.  [close] appends thread-name metadata for every

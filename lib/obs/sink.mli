@@ -1,6 +1,6 @@
 (** Pluggable destinations for observability records.
 
-    Every record is one {!Json.t} object (spans from {!Metrics}, trace
+    Every record is one {!Json.t} object (spans from {!Recorder}, trace
     events from [Fpart.Trace], reports).  Instrumented code emits to a
     single process-wide current sink; composing sinks ([tee],
     [filtered]) is the caller's job.  The default sink is {!null}, so

@@ -15,11 +15,6 @@ type algo =
   | Kwayx_algo   (** Baseline k-way.x ({!Fpart.Kwayx}). *)
   | Fbb_mw_algo  (** Baseline FBB-MW ({!Flow.Fbb_mw}). *)
 
-(** Which engine carries the {!Fpart_algo} runs: the paper's flat
-    driver, or the multilevel V-cycle ({!Mlevel.Engine}).  Baselines
-    are unaffected. *)
-type engine = Flat | Multilevel
-
 type run = {
   k : int;             (** Devices produced. *)
   feasible : bool;
@@ -30,21 +25,21 @@ type run = {
 (** [run_one t algo circuit device] runs (or recalls) one experiment. *)
 type t
 
-(** [create ?progress ?jobs ?engine ?refiner ()] makes a fresh memo
-    table.  [jobs] (default 1) is the domain budget: with [jobs > 1]
-    the device tables, Table 6 and the variance study fan their
-    independent algorithm runs out on an {!Fpart_exec.Pool} (created
-    lazily, released by {!shutdown}).  [engine] (default {!Flat})
-    selects the engine behind every FPART run and [refiner] (default
-    [Sanchis_refiner]) its improvement backend.  Every run is
-    deterministic, so the rendered tables are identical for every
-    [jobs]; only the progress-line order and wall-clock time change.
+(** [create ?progress ?jobs ?config ()] makes a fresh memo table.
+    [jobs] (default 1) is the domain budget: with [jobs > 1] the device
+    tables, Table 6 and the variance study fan their independent
+    algorithm runs out on an {!Fpart_exec.Pool} (created lazily,
+    released by {!shutdown}).  [config] (default
+    {!Fpart.Config.default}) is what every memoised FPART run hands to
+    {!Solve.run}: its [engine] and [refiner] select the engine and the
+    improvement backend.  Every run is deterministic, so the rendered
+    tables are identical for every [jobs]; only the progress-line order
+    and wall-clock time change.
     @raise Invalid_argument if [jobs < 1]. *)
 val create :
   ?progress:(string -> unit) ->
   ?jobs:int ->
-  ?engine:engine ->
-  ?refiner:Fpart.Config.refiner ->
+  ?config:Fpart.Config.t ->
   unit ->
   t
 
@@ -126,7 +121,8 @@ val variance : t -> string
     Flat FPART vs the multilevel V-cycle engine ({!Mlevel.Engine}) on
     the paper's circuits — at MCNC scale the flat driver usually wins
     or ties (the regime the V-cycle targets starts around 10^5
-    cells). *)
+    cells).  Both columns run under the harness config's refiner and
+    seed, whichever engine that config names. *)
 val modern : t -> string
 
 (** {1 Filling-ratio sweep}

@@ -7,8 +7,8 @@ type t = {
 
 let create () = { tbl = Hashtbl.create 64; hits = 0; misses = 0; bytes_est = 0 }
 
-let key ~netlist_digest ~device ~config_digest ~runs =
-  Printf.sprintf "%s|%s|%s|%d" netlist_digest device config_digest runs
+let key ~netlist_digest ~device ~config_digest =
+  Printf.sprintf "%s|%s|%s" netlist_digest device config_digest
 
 let find t k =
   match Hashtbl.find_opt t.tbl k with

@@ -2,8 +2,9 @@
 
     The key is the canonical workload identity: the relabel-invariant
     {!Hypergraph.Hgraph.digest} of the (possibly delta-applied)
-    hypergraph, the device name, the {!Fpart.Config.digest} of the
-    effective configuration, and the multi-start breadth.  Two requests
+    hypergraph, the device name and the {!Fpart.Config.digest} of the
+    effective configuration (which covers the multi-start breadth
+    [runs]).  Two requests
     with the same key produce bit-identical partitions (the driver is
     deterministic in its seed, which the config digest covers), so the
     cached response can be replayed verbatim.  ECO and fault-injected
@@ -13,12 +14,7 @@ type t
 
 val create : unit -> t
 
-val key :
-  netlist_digest:string ->
-  device:string ->
-  config_digest:string ->
-  runs:int ->
-  string
+val key : netlist_digest:string -> device:string -> config_digest:string -> string
 
 (** [find t key] returns the cached success and counts a hit/miss. *)
 val find : t -> string -> Protocol.success option

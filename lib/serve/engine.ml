@@ -110,7 +110,7 @@ let load_netlist = function
       (Netlist.Load.generate spec ~seed:gen_seed)
 
 let config_of_request (req : Protocol.request) =
-  let c = { Fpart.Config.default with delta = req.delta } in
+  let c = { Fpart.Config.default with delta = req.delta; runs = req.runs } in
   let c =
     match req.seed with Some s -> { c with Fpart.Config.seed = s } | None -> c
   in
@@ -172,9 +172,7 @@ let prepare ~rid (req : Protocol.request) =
       Ok (hg, Some pf)
   in
   let net_digest = Hg.digest hg in
-  let cfg_digest =
-    Fpart.Config.digest ~extra:(Printf.sprintf "runs=%d" req.runs) config
-  in
+  let cfg_digest = Fpart.Config.digest config in
   Ok
     {
       p_req = req;
@@ -187,8 +185,7 @@ let prepare ~rid (req : Protocol.request) =
       p_cfg_digest = cfg_digest;
       p_key =
         Cache.key ~netlist_digest:net_digest
-          ~device:device.Device.dev_name ~config_digest:cfg_digest
-          ~runs:req.runs;
+          ~device:device.Device.dev_name ~config_digest:cfg_digest;
       p_partfile = partfile;
     }
 

@@ -264,7 +264,7 @@ let test_driver_selfcheck_clean () =
     [ (Selfcheck.Cheap, 160); (Selfcheck.Paranoid, 48) ]
 
 (* [Driver.refine] (mlevel uncoarsening, --cluster refinement, the ECO
-   warm start) takes its engine hooks from [Config.engine], so at the
+   warm start) takes its engine hooks from [Config.sanchis], so at the
    paranoid level it checks gains as well as the state after each move:
    more checks than one per move plus the boundary check. *)
 let test_refine_paranoid_checks_gains () =

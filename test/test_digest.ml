@@ -126,6 +126,8 @@ let test_config_digest_covers_fields () =
       ("random_initial", { d with C.random_initial = true });
       ("cluster_size", { d with C.cluster_size = Some 4 });
       ("refiner", { d with C.refiner = C.Hybrid_refiner });
+      ("engine", { d with C.engine = C.Mlevel });
+      ("runs", { d with C.runs = 2 });
       ("seed", { d with C.seed = 99 });
     ]
   in
@@ -142,6 +144,28 @@ let test_config_digest_covers_fields () =
   Alcotest.(check string) "selfcheck leaves the digest" d0
     (C.digest { d with C.selfcheck = Fpart_check.Selfcheck.Paranoid })
 
+(* The digest renders the enums by these names, and the binaries parse
+   their options from the same tables: each name maps back to its value,
+   no two values share a name, and an unknown name is rejected. *)
+let test_config_name_tables () =
+  let module C = Fpart.Config in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check string) ("refiner " ^ name) name (C.refiner_name r);
+      Alcotest.(check bool) ("parse " ^ name) true
+        (C.refiner_of_string name = Some r))
+    C.refiners;
+  List.iter
+    (fun (name, e) ->
+      Alcotest.(check string) ("engine " ^ name) name (C.engine_name e))
+    C.engines;
+  Alcotest.(check int) "refiner names unique" (List.length C.refiners)
+    (List.length (List.sort_uniq compare (List.map fst C.refiners)));
+  Alcotest.(check int) "engine names unique" (List.length C.engines)
+    (List.length (List.sort_uniq compare (List.map fst C.engines)));
+  Alcotest.(check bool) "flow is not a refiner" true
+    (C.refiner_of_string "flow" = None)
+
 let () =
   Alcotest.run "digest"
     [
@@ -156,6 +180,8 @@ let () =
             test_config_digest_tracks_knobs;
           Alcotest.test_case "every field covered" `Quick
             test_config_digest_covers_fields;
+          Alcotest.test_case "name tables round-trip" `Quick
+            test_config_name_tables;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

@@ -327,17 +327,6 @@ let test_batch_timeout () =
         Alcotest.failf "unexpected batch shape (%d results)"
           (List.length results))
 
-let test_driver_run_batch () =
-  let jobs_list =
-    List.map (fun seed -> (circuit ~cells:80 ~pads:16 seed, Device.xc2064)) [ 1; 2 ]
-  in
-  match Driver.run_batch ~jobs:test_jobs jobs_list with
-  | [ Ok a; Ok b ] ->
-    Alcotest.(check bool) "k positive" true (a.Driver.k >= 1 && b.Driver.k >= 1)
-  | results ->
-    Alcotest.failf "unexpected run_batch shape (%d results)"
-      (List.length results)
-
 let () =
   Alcotest.run "exec"
     [
@@ -388,6 +377,5 @@ let () =
         [
           Alcotest.test_case "exception isolation" `Quick test_batch_isolation;
           Alcotest.test_case "timeout" `Quick test_batch_timeout;
-          Alcotest.test_case "driver run_batch" `Slow test_driver_run_batch;
         ] );
     ]

@@ -199,18 +199,6 @@ let test_matching_deterministic () =
   Alcotest.(check int) "same count" n1 n2;
   Alcotest.(check (array int)) "same map" m1 m2
 
-let test_matching_within () =
-  let h = circuit 25 in
-  let within = Array.init (Hg.num_nodes h) (fun v -> v mod 3) in
-  let map, nc = Matching.compute ~policy:Matching.Pairs ~max_weight:8 ~within ~seed:5 h in
-  Array.iter
-    (fun members ->
-      match List.map (fun v -> within.(v)) members with
-      | [] | [ _ ] -> ()
-      | w :: rest ->
-        List.iter (fun w' -> Alcotest.(check int) "same side" w w') rest)
-    (groups_of map nc)
-
 (* --- Engine -------------------------------------------------------- *)
 
 let big_circuit seed = circuit ~cells:1500 ~pads:80 seed
@@ -264,25 +252,13 @@ let test_engine_never_worsens () =
     r.Engine.level_stats
 
 let test_engine_no_coarsening () =
-  (* threshold above the node count: degenerates to the flat driver *)
-  let hg = circuit ~cells:300 ~pads:30 34 in
-  let config = { Engine.default_config with Engine.coarsen_thresh = 1_000_000 } in
-  let r = Engine.run ~config hg Device.xc3020 in
+  (* 170 nodes, under the 160-node threshold plus the 20 pads:
+     degenerates to the flat driver *)
+  let hg = circuit ~cells:150 ~pads:20 34 in
+  let r = Engine.run hg Device.xc3020 in
   Alcotest.(check int) "no levels" 0 r.Engine.levels;
   Alcotest.(check (float 0.0001)) "ratio 1" 1.0 r.Engine.coarsen_ratio;
   Alcotest.(check bool) "feasible" true r.Engine.res.Fpart.Driver.feasible
-
-let test_engine_two_cycles () =
-  let hg = big_circuit 35 in
-  let config = { Engine.default_config with Engine.cycles = 2 } in
-  let r1 = Engine.run hg Device.xc3042 in
-  let r2 = Engine.run ~config hg Device.xc3042 in
-  Alcotest.(check bool) "feasible" true r2.Engine.res.Fpart.Driver.feasible;
-  Alcotest.(check bool) "more refinements" true
-    (List.length r2.Engine.level_stats > List.length r1.Engine.level_stats);
-  (* the extra cycle can only help (refinement never worsens) *)
-  Alcotest.(check bool) "cut no worse" true
-    (r2.Engine.res.Fpart.Driver.cut <= r1.Engine.res.Fpart.Driver.cut)
 
 let test_engine_selfcheck_clean () =
   let hg = big_circuit 36 in
@@ -301,6 +277,71 @@ let test_rent_spec () =
   Alcotest.(check int) "cells" 500 (Hg.num_cells h);
   Alcotest.(check int) "pads" 68 (Hg.num_pads h);
   Alcotest.(check bool) "validates" true (Hg.validate h = Ok ())
+
+(* --- Solve ---------------------------------------------------------- *)
+
+let same_result what (a : Fpart.Driver.result) (b : Fpart.Driver.result) =
+  Alcotest.(check int) (what ^ ": k") a.Fpart.Driver.k b.Fpart.Driver.k;
+  Alcotest.(check int) (what ^ ": cut") a.Fpart.Driver.cut b.Fpart.Driver.cut;
+  Alcotest.(check (array int)) (what ^ ": assignment")
+    a.Fpart.Driver.assignment b.Fpart.Driver.assignment
+
+(* [Flat] at one run and one job is exactly the flat driver *)
+let test_solve_flat_is_driver () =
+  let hg = circuit ~cells:300 ~pads:30 37 in
+  let config = Fpart.Config.default in
+  same_result "flat"
+    (Fpart.Driver.run ~config hg Device.xc3020)
+    (Solve.run config hg Device.xc3020)
+
+(* [Mlevel] is the V-cycle engine run on the same base config *)
+let test_solve_mlevel_is_engine () =
+  let hg = circuit ~cells:600 ~pads:50 38 in
+  let config =
+    { Fpart.Config.default with Fpart.Config.engine = Fpart.Config.Mlevel }
+  in
+  let r = Engine.run ~base:config hg Device.xc3042 in
+  Alcotest.(check bool) "coarsened" true (r.Engine.levels > 0);
+  same_result "mlevel" r.Engine.res (Solve.run config hg Device.xc3042)
+
+(* the coarsest graph gets [max 3 runs] starts, as the [mlevel.initial]
+   span reports; below three, [runs] changes nothing *)
+let test_engine_coarse_starts_floor () =
+  let module Obs = Fpart_obs in
+  let hg = circuit ~cells:600 ~pads:50 39 in
+  let solve runs =
+    let sink, drain = Obs.Sink.memory () in
+    Obs.Metrics.reset ();
+    Obs.Recorder.reset ();
+    Obs.Metrics.set_enabled true;
+    Obs.Sink.set sink;
+    let res =
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Metrics.set_enabled false;
+          Obs.Sink.set Obs.Sink.null;
+          Obs.Metrics.reset ();
+          Obs.Recorder.reset ())
+        (fun () ->
+          Solve.run
+            { Fpart.Config.default with
+              Fpart.Config.engine = Fpart.Config.Mlevel;
+              runs }
+            hg Device.xc3042)
+    in
+    let name r = Option.bind (Obs.Json.member "name" r) Obs.Json.str in
+    match List.filter (fun r -> name r = Some "mlevel.initial") (drain ()) with
+    | [ r ] -> (res, Option.bind (Obs.Json.member "runs" r) Obs.Json.int)
+    | rs -> Alcotest.failf "expected 1 mlevel.initial span, got %d" (List.length rs)
+  in
+  let r1, starts1 = solve 1 in
+  let r2, starts2 = solve 2 in
+  let _, starts4 = solve 4 in
+  Alcotest.(check bool) "feasible" true r1.Fpart.Driver.feasible;
+  Alcotest.(check (option int)) "runs 1: three starts" (Some 3) starts1;
+  Alcotest.(check (option int)) "runs 2: three starts" (Some 3) starts2;
+  Alcotest.(check (option int)) "runs 4: four starts" (Some 4) starts4;
+  same_result "runs 2" r1 r2
 
 (* --- Properties ---------------------------------------------------- *)
 
@@ -355,7 +396,6 @@ let () =
           Alcotest.test_case "weight cap" `Quick test_matching_weight_cap;
           Alcotest.test_case "weight one" `Quick test_matching_weight_one;
           Alcotest.test_case "deterministic" `Quick test_matching_deterministic;
-          Alcotest.test_case "within" `Quick test_matching_within;
         ] );
       ( "engine",
         [
@@ -363,9 +403,16 @@ let () =
           Alcotest.test_case "jobs identical" `Quick test_engine_jobs_identical;
           Alcotest.test_case "never worsens" `Quick test_engine_never_worsens;
           Alcotest.test_case "no coarsening" `Quick test_engine_no_coarsening;
-          Alcotest.test_case "two cycles" `Quick test_engine_two_cycles;
+          Alcotest.test_case "coarse starts floor" `Quick
+            test_engine_coarse_starts_floor;
           Alcotest.test_case "selfcheck clean" `Quick test_engine_selfcheck_clean;
           Alcotest.test_case "rent spec" `Quick test_rent_spec;
+        ] );
+      ( "solve",
+        [
+          Alcotest.test_case "flat is the driver" `Quick test_solve_flat_is_driver;
+          Alcotest.test_case "mlevel is the engine" `Quick
+            test_solve_mlevel_is_engine;
         ] );
       ("property", List.map QCheck_alcotest.to_alcotest [ prop_contract_exact ]);
     ]

@@ -4,6 +4,7 @@
 
 module Json = Fpart_obs.Json
 module Metrics = Fpart_obs.Metrics
+module Recorder = Fpart_obs.Recorder
 module Sink = Fpart_obs.Sink
 
 let with_obs f =
@@ -108,18 +109,20 @@ let test_disabled_is_inert () =
   let h = Metrics.histogram "test.inert" in
   Metrics.observe h 1.0;
   Alcotest.(check int) "no samples while disabled" 0 (Metrics.count h);
-  let sp = Metrics.span_begin () in
-  Alcotest.(check bool) "span sentinel" true (sp < 0.0);
   let sink, drain = Sink.memory () in
   Sink.set sink;
-  Metrics.span_end sp ~name:"test.span" ~attrs:[];
+  let sp = Recorder.span_begin "test.span" in
+  Alcotest.(check int) "span sentinel opens nothing" 0 (Recorder.current_id ());
+  Recorder.span_end sp ~attrs:[];
   Sink.set Sink.null;
-  Alcotest.(check int) "no records while disabled" 0 (List.length (drain ()))
+  Alcotest.(check int) "no records while disabled" 0 (List.length (drain ()));
+  Alcotest.(check int) "no duration while disabled" 0
+    (Metrics.count (Metrics.histogram "test.span"))
 
 let test_span_emission () =
   with_obs (fun drain ->
-      let sp = Metrics.span_begin () in
-      Metrics.span_end sp ~name:"test.span" ~attrs:[ ("k", Json.Int 3) ];
+      let sp = Recorder.span_begin "test.span" in
+      Recorder.span_end sp ~attrs:[ ("k", Json.Int 3) ];
       match drain () with
       | [ record ] ->
         Alcotest.(check (option string))
@@ -273,7 +276,6 @@ let test_jsonl_write_error_reported_once () =
 
 (* --- Recorder --- *)
 
-module Recorder = Fpart_obs.Recorder
 module Inspect = Fpart_obs.Inspect
 
 let span_skeleton records =
@@ -1080,10 +1082,10 @@ let test_canonical_digests_pinned () =
     "9a5dd5597aed719691dc235915b295d3"
     (Hypergraph.Hgraph.digest h);
   Alcotest.(check string) "config digest pinned"
-    "108d87658237c61deb447b98eef3b003"
+    "9a5d0dc361e643a8bfd70152eb37f00b"
     (Fpart.Config.digest Fpart.Config.default);
   Alcotest.(check string) "config digest with extra pinned"
-    "f499c72b9ad8a9777511602143dedc31"
+    "ba10f7046a6408668eb4f6bb2bd2573a"
     (Fpart.Config.digest ~extra:"algo=fm" Fpart.Config.default)
 
 let test_regress_groups_by_workload () =
