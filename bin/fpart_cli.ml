@@ -76,9 +76,7 @@ let algo_name = function
   | Algo_kwayx -> "kwayx"
   | Algo_fbb_mw -> "fbb-mw"
 
-(* Shared fpart configuration from the CLI knobs; also the canonical
-   config-digest producer for the ledger (kwayx/fbb-mw runs digest the
-   same record — their relevant knobs, delta and seed, live in it). *)
+(* Shared fpart configuration from the CLI knobs. *)
 let make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner ~engine
     ~runs =
   {
@@ -94,12 +92,16 @@ let make_config ~delta ~seed ~cluster ~jobs ~selfcheck ~refiner ~engine
   }
 
 (* An FPART run's digest is the config's own, the same one fpart_serve
-   stamps on the same workload; the baselines tag their algorithm. *)
-let config_digest ~algo config =
+   stamps on the same workload.  A baseline digests only the knobs it
+   reads (k-way.x the filling ratio, FBB-MW also the seed) and tags its
+   algorithm, so FPART-only flags do not split its run history. *)
+let config_digest ~algo (config : Fpart.Config.t) =
+  let baseline c = Fpart.Config.digest ~extra:("algo=" ^ algo_name algo) c in
+  let { Fpart.Config.delta; seed; _ } = config in
   match algo with
   | Algo_fpart -> Fpart.Config.digest config
-  | Algo_kwayx | Algo_fbb_mw ->
-    Fpart.Config.digest ~extra:("algo=" ^ algo_name algo) config
+  | Algo_kwayx -> baseline { Fpart.Config.default with delta }
+  | Algo_fbb_mw -> baseline { Fpart.Config.default with delta; seed }
 
 let netlist_digest = Hypergraph.Hgraph.digest
 
@@ -260,9 +262,9 @@ let main input generate device_name delta algo engine seed runs cluster jobs
               (algo_name algo)
           in
           let prefix =
-            match engine with
-            | Fpart.Config.Flat -> prefix
-            | Fpart.Config.Mlevel -> prefix ^ "-mlevel"
+            match (algo, engine) with
+            | Algo_fpart, Fpart.Config.Mlevel -> prefix ^ "-mlevel"
+            | _ -> prefix
           in
           let row rname value unit_ higher_better =
             { Fpart_obs.Ledger.name = prefix ^ "/" ^ rname; value; unit_; higher_better }
@@ -349,20 +351,10 @@ let engine =
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
-(* A count that must be at least 1; [docv] names it in the error. *)
-let positive_conv docv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg (docv ^ " must be at least 1"))
-    | None -> Error (`Msg (docv ^ " must be an integer"))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let runs =
   Arg.(
     value
-    & opt (positive_conv "N") 1
+    & opt (Obs_setup.int_at_least ~min:1 "N") 1
     & info [ "runs" ] ~docv:"N"
         ~doc:
           "Multi-start: run FPART N times with different seeds and keep the \
@@ -372,14 +364,14 @@ let runs =
 let cluster =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (Obs_setup.int_at_least ~min:2 "SIZE")) None
     & info [ "cluster" ] ~docv:"SIZE"
-        ~doc:"Clustering pre-pass: coarsen into connectivity clusters of logic size <= SIZE before partitioning (fpart only).")
+        ~doc:"Clustering pre-pass: coarsen into connectivity clusters of logic size <= SIZE (at least 2) before partitioning (fpart only).")
 
 let jobs =
   Arg.(
     value
-    & opt (positive_conv "JOBS") 1
+    & opt (Obs_setup.int_at_least ~min:1 "JOBS") 1
     & info [ "jobs"; "j" ] ~docv:"JOBS"
         ~doc:
           "Execution domains: run the multi-start runs (and the initial-bipartition portfolio) on JOBS parallel domains. The result is bit-identical to JOBS=1 (fpart only).")

@@ -269,20 +269,22 @@ let client =
 let jobs =
   Arg.(
     value
-    & opt int 1
+    & opt (Obs_setup.int_at_least ~min:1 "JOBS") 1
     & info [ "jobs"; "j" ] ~docv:"JOBS"
         ~doc:
-          "Execution domains of the engine's pool: batched requests and \
-           multi-start portfolios are sharded across JOBS domains.")
+          "Execution domains of the engine's pool: the uncached requests \
+           of a batch run in parallel, one request per domain at a time.  \
+           A multi-start request runs its seeds in sequence on its domain.")
 
 let timeout_s =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (Obs_setup.positive_float "SECONDS")) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:
-          "Default per-request time limit for batched jobs (cooperative: an \
-           overrunning job is reported as timed out when it completes).")
+          "Time limit of every partition request that sets no \
+           $(b,timeout_s) of its own (cooperative: an overrunning request \
+           is answered with a timed-out error when it completes).")
 
 let ledger =
   Arg.(

@@ -1,5 +1,5 @@
-(* Observability bootstrap shared by the binaries: the monotonic clock
-   source and the --trace-format plumbing. *)
+(* Shared by the binaries: the monotonic clock source, the
+   --trace-format plumbing and the range-checked option converters. *)
 
 module Sink = Fpart_obs.Sink
 
@@ -71,3 +71,24 @@ let trace_format_arg =
           "Format of the --trace file: $(b,jsonl) (one record per line, the \
            fpart_inspect native input) or $(b,chrome) (Chrome Trace Event \
            JSON, loadable in chrome://tracing and Perfetto).")
+
+(* Option values out of range are usage errors (exit 124), reported
+   with the option's [docv]. *)
+let int_at_least ~min docv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s must be at least %d" docv min))
+    | None -> Error (`Msg (docv ^ " must be an integer"))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
+(* NaN fails the comparison, so it is rejected too. *)
+let positive_float docv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 -> Ok x
+    | Some _ -> Error (`Msg (docv ^ " must be greater than 0"))
+    | None -> Error (`Msg (docv ^ " must be a number"))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_float)

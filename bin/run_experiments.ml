@@ -59,22 +59,16 @@ let selected =
   let doc = Printf.sprintf "Artifacts to regenerate: %s." names in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"ARTIFACT" ~doc)
 
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg "JOBS must be at least 1")
-    | None -> Error (`Msg "JOBS must be an integer")
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let jobs =
   let doc =
     "Execution domains for the independent algorithm runs behind the \
      tables (default 1 = fully sequential).  Output is identical for \
      every $(docv); only wall-clock time changes."
   in
-  Arg.(value & opt jobs_conv 1 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
+  Arg.(
+    value
+    & opt (Obs_setup.int_at_least ~min:1 "JOBS") 1
+    & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
 
 let engine =
   let doc =

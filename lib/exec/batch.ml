@@ -1,25 +1,14 @@
-type error =
-  | Crashed of { exn : string; backtrace : string }
-  | Timed_out of { elapsed_s : float; limit_s : float }
+type error = Crashed of { exn : string; backtrace : string }
 
-let error_to_string = function
-  | Crashed { exn; _ } -> Printf.sprintf "crashed: %s" exn
-  | Timed_out { elapsed_s; limit_s } ->
-    Printf.sprintf "timed out: %.1fs (limit %.1fs)" elapsed_s limit_s
+let error_to_string (Crashed { exn; _ }) = Printf.sprintf "crashed: %s" exn
 
-let run ?timeout_s ~pool ~f jobs =
+let run ~pool ~f jobs =
   let arr = Array.of_list jobs in
   let results =
     Pool.map pool
       (fun _i job ->
-        let t0 = Unix.gettimeofday () in
         match f job with
-        | v -> (
-          let elapsed_s = Unix.gettimeofday () -. t0 in
-          match timeout_s with
-          | Some limit_s when elapsed_s > limit_s ->
-            Error (Timed_out { elapsed_s; limit_s })
-          | _ -> Ok v)
+        | v -> Ok v
         | exception e ->
           Error
             (Crashed

@@ -1,28 +1,17 @@
 (** Batch runner: fan a list of independent jobs over a {!Pool} with
-    per-job exception isolation and a per-job time limit.  One crashing
-    or overrunning job yields an [Error] in its slot; it never kills the
-    batch or disturbs the other jobs' results.
-
-    The time limit is cooperative: domains cannot be cancelled, so an
-    overrunning job is detected (and reported as [Timed_out]) when it
-    completes, while the remaining jobs keep running on the other
-    domains.  It bounds what a batch {e reports}, not what a stuck job
-    {e consumes} — see docs/PARALLELISM.md. *)
+    per-job exception isolation.  One crashing job yields an [Error] in
+    its slot; it never kills the batch or disturbs the other jobs'
+    results.  Time limits belong to the caller, which knows what a job
+    is: the partition service applies its per-request limit inside each
+    slot (see docs/SERVICE.md). *)
 
 type error =
   | Crashed of { exn : string; backtrace : string }
       (** The job raised; the exception is rendered to strings so batch
           results can cross domains and be serialized freely. *)
-  | Timed_out of { elapsed_s : float; limit_s : float }
-      (** The job completed after its deadline; its result is dropped. *)
 
 val error_to_string : error -> string
 
-(** [run ?timeout_s ~pool ~f jobs] maps [f] over [jobs] on the pool and
-    returns one [result] per job, in order. *)
-val run :
-  ?timeout_s:float ->
-  pool:Pool.t ->
-  f:('a -> 'b) ->
-  'a list ->
-  ('b, error) result list
+(** [run ~pool ~f jobs] maps [f] over [jobs] on the pool and returns one
+    [result] per job, in order. *)
+val run : pool:Pool.t -> f:('a -> 'b) -> 'a list -> ('b, error) result list

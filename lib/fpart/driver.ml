@@ -247,18 +247,10 @@ let better a b =
   else if a.cut <> b.cut then a.cut < b.cut
   else a.total_pins < b.total_pins
 
-(* First strictly-better result wins, scanning in run order — the same
-   tie-break the sequential loop applies. *)
-let pick_best_opt results =
-  Array.fold_left
-    (fun best r ->
-      match best with Some b when not (better r b) -> best | _ -> Some r)
-    None results
-
+(* First strictly-better result wins, scanning in run order.  Callers
+   reject [runs < 1], so [results] is never empty. *)
 let pick_best results =
-  match pick_best_opt results with
-  | Some r -> r
-  | None -> invalid_arg "Driver.pick_best: no results"
+  Array.fold_left (fun best r -> if better r best then r else best) results.(0) results
 
 let run_config config i = { config with Config.seed = config.Config.seed + i }
 
@@ -283,51 +275,6 @@ let run_best ?(config = Config.default) ?jobs ~runs hg device =
                  (Array.make runs ())))
   in
   { r with cpu_seconds = Sys.time () -. t0 }
-
-(* Multi-start with per-run isolation: every seed runs as its own Batch
-   job, so one crashing or overrunning start yields an [Error] slot
-   instead of killing the whole fan-out.  Unlike {!run_best} — which
-   re-raises because losing one seed invalidates the "best of N"
-   contract for callers that asked for exactly that — this variant is
-   for long-running callers (the partition service) that must survive a
-   poisoned request: the empty-result case comes back as a typed
-   [Error] listing the per-run failures, never an exception. *)
-let run_best_isolated ?(config = Config.default) ?jobs ?timeout_s ?run_one
-    ?pool ~runs hg device =
-  if runs < 1 then invalid_arg "Driver.run_best_isolated: runs < 1";
-  let one =
-    match run_one with
-    | Some f -> f
-    | None -> fun config hg device -> run ~config hg device
-  in
-  let t0 = Sys.time () in
-  let f i = one (run_config config i) hg device in
-  let slots =
-    match pool with
-    | Some pool ->
-      Fpart_exec.Batch.run ?timeout_s ~pool ~f (List.init runs Fun.id)
-    | None ->
-      let jobs = match jobs with Some j -> j | None -> config.Config.jobs in
-      if jobs < 1 then invalid_arg "Driver.run_best_isolated: jobs < 1";
-      Fpart_exec.Pool.with_pool ~jobs (fun pool ->
-          Fpart_exec.Batch.run ?timeout_s ~pool ~f (List.init runs Fun.id))
-  in
-  let ok = List.filter_map Result.to_option slots in
-  match pick_best_opt (Array.of_list ok) with
-  | Some r -> Ok { r with cpu_seconds = Sys.time () -. t0 }
-  | None ->
-    let reasons =
-      List.mapi
-        (fun i -> function
-          | Ok _ -> None
-          | Error e ->
-            Some (Printf.sprintf "run %d: %s" i (Fpart_exec.Batch.error_to_string e)))
-        slots
-      |> List.filter_map Fun.id
-    in
-    Error
-      (Printf.sprintf "all %d run(s) failed (%s)" runs
-         (String.concat "; " reasons))
 
 let final_state r hg =
   State.create hg ~k:r.k ~assign:(fun v -> r.assignment.(v))

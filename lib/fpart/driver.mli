@@ -42,9 +42,13 @@ val run :
 
 (** [run_best ?config ?jobs ~runs h device] runs FPART [runs] times with
     seeds [config.seed, config.seed+1, ...] and returns the best result
-    (fewest devices; ties broken by cut, then total pins).  "Number of
-    runs" is one of the classical FM parameters the paper's introduction
-    lists.
+    (feasible first, then fewest devices, then cut, then total pins;
+    the first of equals wins).  "Number of runs" is one of the classical
+    FM parameters the paper's introduction lists.  A run that raises
+    fails the whole call: the answer is the best of all [runs] or
+    nothing, never the best of the runs that happened to finish.  The
+    partition service isolates each request as a whole
+    ([Serve.Engine]).
 
     [?jobs] (default [config.jobs]) fans the runs out over a domain pool;
     the reduction applies the lexicographic comparison in run order, so
@@ -59,32 +63,6 @@ val run_best :
   Hypergraph.Hgraph.t ->
   Device.t ->
   result
-
-(** [pick_best_opt results] reduces a fan-out with the lexicographic
-    comparison of {!run_best} (fewest devices, then feasibility, cut,
-    total pins), scanning in run order; [None] on an empty array.  Use
-    this — not the raising fold — when the array is the surviving
-    slice of an isolated batch and may legitimately be empty. *)
-val pick_best_opt : result array -> result option
-
-(** [run_best_isolated ?config ?jobs ?timeout_s ?run_one ?pool ~runs h
-    device] is {!run_best} with {!Fpart_exec.Batch} isolation per seed:
-    a crashing or overrunning start loses only its own slot.  When every
-    start fails, the outcome is [Error msg] (one line per failed run) —
-    a typed answer a serving loop can report per-request instead of
-    dying.  [?run_one] substitutes the per-seed runner (fault injection
-    in tests and the service's crash hook); [?pool] reuses a caller's
-    domain pool instead of creating one per call. *)
-val run_best_isolated :
-  ?config:Config.t ->
-  ?jobs:int ->
-  ?timeout_s:float ->
-  ?run_one:(Config.t -> Hypergraph.Hgraph.t -> Device.t -> result) ->
-  ?pool:Fpart_exec.Pool.t ->
-  runs:int ->
-  Hypergraph.Hgraph.t ->
-  Device.t ->
-  (result, string) Stdlib.result
 
 (** [final_state r h] rebuilds the partition state of a result (for
     reporting: per-block sizes and pins). *)

@@ -352,10 +352,12 @@ let table6 t =
 (* Figures                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The trace of the flat driver's Algorithm 1, so the engine is always
+   [Flat]; the refiner and seed follow the harness config. *)
 let figure1 t =
   let c = Option.get (Mcnc.find "s5378") in
   let hg = graph_of t c Device.XC3000 in
-  let r = Fpart.Driver.run hg Device.xc3042 in
+  let r = Solve.run { t.config with Fpart.Config.engine = Flat } hg Device.xc3042 in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     "Figure 1. Call of the iterative improvement passes (trace of FPART on \
@@ -484,8 +486,7 @@ let figure3 _t =
 (* Ablations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_variants =
-  let base = Fpart.Config.default in
+let ablation_variants base =
   [
     ("published", base);
     ("no-lookahead-gains", { base with Fpart.Config.gain_levels = 1 });
@@ -525,7 +526,7 @@ let ablations t =
           List.fold_left
             (fun (ks, time) c ->
               let hg = graph_of t c device.Device.family in
-              let r = Fpart.Driver.run ~config hg device in
+              let r = Solve.run config hg device in
               (ks @ [ r.Fpart.Driver.k ], time +. r.Fpart.Driver.cpu_seconds))
             ([], 0.0) circuits
         in
@@ -535,7 +536,7 @@ let ablations t =
             string_of_int (List.fold_left ( + ) 0 ks);
             Printf.sprintf "%.2f" time;
           ])
-      ablation_variants
+      (ablation_variants t.config)
   in
   Table.render
     ~title:
@@ -594,8 +595,7 @@ let variance t =
   let device = Device.xc3020 in
   let run_seeds hg =
     let one seed =
-      let config = { Fpart.Config.default with Fpart.Config.seed } in
-      (Fpart.Driver.run ~config hg device).Fpart.Driver.k
+      (Solve.run { t.config with Fpart.Config.seed } hg device).Fpart.Driver.k
     in
     match pool_of t with
     | None -> List.map one variance_seeds
@@ -694,8 +694,9 @@ let delta_sweep t =
     List.map
       (fun delta ->
         t.progress (Printf.sprintf "delta sweep %.2f ..." delta);
-        let config = { Fpart.Config.default with Fpart.Config.delta = Some delta } in
-        let r = Fpart.Driver.run ~config hg device in
+        let r =
+          Solve.run { t.config with Fpart.Config.delta = Some delta } hg device
+        in
         [
           Printf.sprintf "%.2f" delta;
           string_of_int (Device.s_max device ~delta);

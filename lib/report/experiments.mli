@@ -30,11 +30,12 @@ type t
     tables, Table 6 and the variance study fan their independent
     algorithm runs out on an {!Fpart_exec.Pool} (created lazily,
     released by {!shutdown}).  [config] (default
-    {!Fpart.Config.default}) is what every memoised FPART run hands to
-    {!Solve.run}: its [engine] and [refiner] select the engine and the
-    improvement backend.  Every run is deterministic, so the rendered
-    tables are identical for every [jobs]; only the progress-line order
-    and wall-clock time change.
+    {!Fpart.Config.default}) is what every FPART run hands to
+    {!Solve.run}, and the base the ablations, the seed variance and the
+    filling-ratio sweep vary: its [engine] and [refiner] select the
+    engine and the improvement backend.  Every run is deterministic, so
+    the rendered tables are identical for every [jobs]; only the
+    progress-line order and wall-clock time change.
     @raise Invalid_argument if [jobs < 1]. *)
 val create :
   ?progress:(string -> unit) ->
@@ -75,7 +76,8 @@ val table6 : t -> string
 (** {1 Figures} *)
 
 (** Figure 1: the improvement-pass schedule of one FPART run, rendered
-    from the driver trace. *)
+    from the driver trace.  It is the flat driver's Algorithm 1 whatever
+    engine the harness config names; its refiner and seed apply. *)
 val figure1 : t -> string
 
 (** Figure 2: feasible / semi-feasible / infeasible solution examples

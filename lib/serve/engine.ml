@@ -191,22 +191,6 @@ let prepare ~rid (req : Protocol.request) =
 
 (* --- execution ----------------------------------------------------- *)
 
-(* The per-seed runner, with the fault-injection hook: a request
-   carrying [inject:"crash"] raises inside its isolation boundary
-   (Batch slot or run_best_isolated seed), exactly like a real bug in
-   the partitioning engine would. *)
-let runner ~rid (req : Protocol.request) config hg device =
-  (* the per-seed body runs on a pool worker domain: setting the
-     request id here stamps the engine's own spans and convergence
-     events with the request they serve, across the capture/merge
-     boundary *)
-  Recorder.with_request (Some rid) @@ fun () ->
-  (match req.Protocol.inject with
-  | Some "crash" -> failwith "injected crash"
-  | Some other -> failwith (Printf.sprintf "unknown inject %S" other)
-  | None -> ());
-  Fpart.Driver.run ~config hg device
-
 let success_of_result p ~mode ~cache ~wall_ms ~k ~assignment ~feasible ~cut
     ~total_pins ~m_lower =
   let delta = Fpart.Config.delta_for p.p_config p.p_device in
@@ -230,51 +214,36 @@ let success_of_result p ~mode ~cache ~wall_ms ~k ~assignment ~feasible ~cut
       partition = Netlist.Partfile.to_string pf;
     }
 
-let success_of_driver p ~mode ~cache ~wall_ms (r : Fpart.Driver.result) =
-  success_of_result p ~mode ~cache ~wall_ms ~k:r.Fpart.Driver.k
-    ~assignment:r.Fpart.Driver.assignment ~feasible:r.Fpart.Driver.feasible
-    ~cut:r.Fpart.Driver.cut ~total_pins:r.Fpart.Driver.total_pins
-    ~m_lower:r.Fpart.Driver.m_lower
-
-(* Cold path for one request, scheduled on [pool] when the request is a
-   multi-start portfolio ([pool = Some _]) or run inline inside a Batch
-   worker slot ([pool = None], isolation provided by the Batch). *)
-let run_cold ?pool p ~cache_tag =
-  Recorder.with_request (Some p.p_rid) @@ fun () ->
+(* The cold solve of one request.  A request carrying [inject:"crash"]
+   raises here, inside its batch slot, exactly like a real bug in the
+   partitioning engine would. *)
+let run_cold p ~cache_tag =
   let req = p.p_req in
   let t0 = now () in
   let sp = Recorder.span_begin "serve.request" in
-  let finish outcome attrs =
-    Recorder.span_end sp
-      ~attrs:(("id", Json.Str req.Protocol.id) :: attrs);
-    outcome
+  (match req.Protocol.inject with
+  | Some "crash" -> failwith "injected crash"
+  | Some other -> failwith (Printf.sprintf "unknown inject %S" other)
+  | None -> ());
+  let r = Solve.run p.p_config p.p_hg p.p_device in
+  let wall_ms = (now () -. t0) *. 1000.0 in
+  Metrics.observe h_cold wall_ms;
+  let outcome =
+    success_of_result p ~mode:"cold" ~cache:cache_tag ~wall_ms ~k:r.Fpart.Driver.k
+      ~assignment:r.Fpart.Driver.assignment ~feasible:r.Fpart.Driver.feasible
+      ~cut:r.Fpart.Driver.cut ~total_pins:r.Fpart.Driver.total_pins
+      ~m_lower:r.Fpart.Driver.m_lower
   in
-  match pool with
-  | Some pool -> (
-    match
-      Fpart.Driver.run_best_isolated ~config:p.p_config ~pool
-        ?timeout_s:req.Protocol.timeout_s
-        ~run_one:(runner ~rid:p.p_rid req) ~runs:req.Protocol.runs p.p_hg
-        p.p_device
-    with
-    | Ok r ->
-      let wall_ms = (now () -. t0) *. 1000.0 in
-      Metrics.observe h_cold wall_ms;
-      finish
-        (success_of_driver p ~mode:"cold" ~cache:cache_tag ~wall_ms r)
-        [ ("mode", Json.Str "cold"); ("runs", Json.Int req.Protocol.runs) ]
-    | Error e -> finish (Error e) [ ("error", Json.Str e) ])
-  | None ->
-    (* inside a Batch worker: crashes propagate to the slot *)
-    let r = runner ~rid:p.p_rid req p.p_config p.p_hg p.p_device in
-    let wall_ms = (now () -. t0) *. 1000.0 in
-    Metrics.observe h_cold wall_ms;
-    finish
-      (success_of_driver p ~mode:"cold" ~cache:cache_tag ~wall_ms r)
-      [ ("mode", Json.Str "cold") ]
+  Recorder.span_end sp
+    ~attrs:
+      [
+        ("id", Json.Str req.Protocol.id);
+        ("mode", Json.Str "cold");
+        ("runs", Json.Int req.Protocol.runs);
+      ];
+  outcome
 
-let run_eco t p partfile =
-  Recorder.with_request (Some p.p_rid) @@ fun () ->
+let run_eco p partfile =
   let sp = Recorder.span_begin "serve.eco" in
   let t0 = now () in
   let outcome =
@@ -298,7 +267,7 @@ let run_eco t p partfile =
         ] )
     | Ok (Eco.Cold_needed reason) -> (
       Metrics.incr c_eco_fallback;
-      match run_cold ~pool:t.pool p ~cache_tag:"bypass" with
+      match run_cold p ~cache_tag:"bypass" with
       | Ok s ->
         (Ok { s with Protocol.mode = "cold-fallback" },
          [ ("mode", Json.Str "cold-fallback"); ("reason", Json.Str reason) ])
@@ -308,13 +277,39 @@ let run_eco t p partfile =
     ~attrs:(("id", Json.Str p.p_req.Protocol.id) :: attrs);
   result
 
+(* The one time limit of a request: its own [timeout_s], else the
+   engine's default. *)
+let limit_of t p =
+  match p.p_req.Protocol.timeout_s with Some _ as l -> l | None -> t.timeout_s
+
+(* The body of one batch slot, run on a pool domain.  Setting the
+   request id here stamps the engine's own spans and convergence events
+   with the request they serve, across the capture/merge boundary.  The
+   limit is cooperative: domains cannot be cancelled, so an overrun is
+   detected when the solve returns, and its answer is dropped (an error
+   is reported as it is). *)
+let run_job t p =
+  Recorder.with_request (Some p.p_rid) @@ fun () ->
+  let t0 = now () in
+  let outcome =
+    match p.p_partfile with
+    | Some partfile -> run_eco p partfile
+    | None -> run_cold p ~cache_tag:"miss"
+  in
+  let elapsed_s = now () -. t0 in
+  match (outcome, limit_of t p) with
+  | Ok _, Some limit_s when elapsed_s > limit_s ->
+    Error
+      (Printf.sprintf "partitioning failed: timed out: %.3gs (limit %gs)"
+         elapsed_s limit_s)
+  | _ -> outcome
+
 (* --- batch handling ------------------------------------------------ *)
 
-type slot =
-  | Done of Protocol.response
-  | Eco_job of prepared
-  | Multi_job of prepared  (* runs > 1: portfolio sharded across domains *)
-  | Single_job of prepared  (* runs = 1: batched under exception isolation *)
+type slot = Done of Protocol.response | Job of prepared
+
+(* ECO and fault-injected requests bypass the cache and deduplication. *)
+let cacheable p = p.p_partfile = None && p.p_req.Protocol.inject = None
 
 (* One structured access-log record per answered request: the rid ties
    the line to every recorder span/event stamped while serving it, so a
@@ -383,134 +378,72 @@ let handle_requests t reqs =
         Recorder.with_request (Some rid) @@ fun () ->
         match prepare ~rid req with
         | Error e -> respond t ~rid req (Error e)
-        | Ok p ->
-          if p.p_partfile <> None then Eco_job p
-          else if req.Protocol.inject <> None then
-            (* fault injection must reach the isolation boundary *)
-            if req.Protocol.runs > 1 then Multi_job p else Single_job p
-          else begin
-            let hit =
-              let csp = Recorder.span_begin "serve.cache_hit" in
-              let hit = Cache.find t.cache p.p_key in
-              (match hit with
-              | Some _ ->
-                Metrics.incr c_cache_hits;
-                Recorder.span_end csp
-                  ~attrs:
-                    [ ("id", Json.Str req.Protocol.id); ("hit", Json.Bool true) ]
-              | None ->
-                Recorder.span_end csp
-                  ~attrs:
-                    [ ("id", Json.Str req.Protocol.id); ("hit", Json.Bool false) ]);
-              hit
-            in
-            match hit with
-            | Some s ->
-              respond t ~rid req (Ok { s with Protocol.cache = "hit" })
-            | None ->
-              if req.Protocol.runs > 1 then Multi_job p else Single_job p
-          end)
+        | Ok p when not (cacheable p) -> Job p
+        | Ok p -> (
+          let csp = Recorder.span_begin "serve.cache_hit" in
+          let hit = Cache.find t.cache p.p_key in
+          if hit <> None then Metrics.incr c_cache_hits;
+          Recorder.span_end csp
+            ~attrs:
+              [ ("id", Json.Str req.Protocol.id); ("hit", Json.Bool (hit <> None)) ];
+          match hit with
+          | Some s -> respond t ~rid req (Ok { s with Protocol.cache = "hit" })
+          | None -> Job p))
       reqs
     |> Array.of_list
   in
-  (* batched single-start jobs: one Batch fan-out, per-slot isolation *)
-  let singles = ref [] in
+  (* Every uncached request is one slot of one fan-out, so a crash or an
+     overrun costs only its own answer.  A cacheable workload repeated
+     inside the batch under the same limit runs once; the later
+     occurrences replay the first one's answer. *)
+  let dedup_key p = (p.p_key, limit_of t p) in
+  let seen = Hashtbl.create 16 in
+  let jobs = ref [] and dups = ref [] in
   Array.iteri
-    (fun i slot -> match slot with Single_job p -> singles := (i, p) :: !singles | _ -> ())
+    (fun i -> function
+      | Done _ -> ()
+      | Job p when cacheable p && Hashtbl.mem seen (dedup_key p) ->
+        dups := (i, p) :: !dups
+      | Job p ->
+        if cacheable p then Hashtbl.add seen (dedup_key p) ();
+        jobs := (i, p) :: !jobs)
     slots;
-  let singles = List.rev !singles in
-  if singles <> [] then begin
-    (* intra-batch dedup: a workload repeated inside one batch runs
-       once; later occurrences are cache replays of the first result *)
-    let seen = Hashtbl.create 16 in
-    let to_run =
-      List.filter
-        (fun (_, p) ->
-          p.p_req.Protocol.inject <> None
-          ||
-          if Hashtbl.mem seen p.p_key then false
-          else begin
-            Hashtbl.add seen p.p_key ();
-            true
-          end)
-        singles
-    in
-    let outcomes = Hashtbl.create 16 in
-    let results =
-      Fpart_exec.Batch.run ?timeout_s:t.timeout_s ~pool:t.pool
-        ~f:(fun (_, p) -> run_cold p ~cache_tag:"miss")
-        to_run
-    in
-    List.iter2
-      (fun (i, p) result ->
-        let outcome =
-          match result with
-          | Ok (Ok s) ->
-            if p.p_req.Protocol.inject = None then Cache.add t.cache p.p_key s;
-            Ok s
-          | Ok (Error e) -> Error e
-          | Error e ->
-            Error
-              (Printf.sprintf "partitioning failed: %s"
-                 (Fpart_exec.Batch.error_to_string e))
-        in
-        if p.p_req.Protocol.inject = None then
-          Hashtbl.replace outcomes p.p_key outcome;
-        slots.(i) <- respond t ~rid:p.p_rid p.p_req outcome)
-      to_run results;
-    List.iter
-      (fun (i, p) ->
-        match slots.(i) with
-        | Single_job _ ->
-          (* a deduped duplicate: replay the first occurrence's result *)
-          let outcome =
-            match Cache.find t.cache p.p_key with
-            | Some s ->
-              Metrics.incr c_cache_hits;
-              Ok { s with Protocol.cache = "hit" }
-            | None -> (
-              match Hashtbl.find_opt outcomes p.p_key with
-              | Some o -> o
-              | None -> Error "duplicate of a request that produced no result")
-          in
-          slots.(i) <- respond t ~rid:p.p_rid p.p_req outcome
-        | _ -> ())
-      singles
-  end;
-  (* multi-start and ECO jobs: sequential, each using the whole pool *)
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Multi_job p ->
-        (* re-probe: an identical request earlier in this batch may
-           have populated the cache since the prepare pass *)
-        let outcome =
-          match
-            if p.p_req.Protocol.inject = None then Cache.find t.cache p.p_key
-            else None
-          with
-          | Some s ->
-            Metrics.incr c_cache_hits;
-            Ok { s with Protocol.cache = "hit" }
-          | None ->
-            let outcome = run_cold ~pool:t.pool p ~cache_tag:"miss" in
-            (match outcome with
-            | Ok s when p.p_req.Protocol.inject = None ->
-              Cache.add t.cache p.p_key s
-            | _ -> ());
-            outcome
-        in
-        slots.(i) <- respond t ~rid:p.p_rid p.p_req outcome
-      | Eco_job p ->
-        let partfile = Option.get p.p_partfile in
-        slots.(i) <- respond t ~rid:p.p_rid p.p_req (run_eco t p partfile)
-      | _ -> ())
-    slots;
+  let jobs = List.rev !jobs in
+  let results =
+    Fpart_exec.Batch.run ~pool:t.pool ~f:(fun (_, p) -> run_job t p) jobs
+  in
+  let outcomes = Hashtbl.create 16 in
+  List.iter2
+    (fun (i, p) result ->
+      let outcome =
+        match result with
+        | Ok outcome -> outcome
+        | Error e ->
+          Error ("partitioning failed: " ^ Fpart_exec.Batch.error_to_string e)
+      in
+      if cacheable p then begin
+        Hashtbl.replace outcomes (dedup_key p) outcome;
+        Result.iter (Cache.add t.cache p.p_key) outcome
+      end;
+      slots.(i) <- respond t ~rid:p.p_rid p.p_req outcome)
+    jobs results;
+  List.iter
+    (fun (i, p) ->
+      (* through the cache first, so the replay counts as a hit *)
+      let outcome =
+        match Cache.find t.cache p.p_key with
+        | Some s ->
+          Metrics.incr c_cache_hits;
+          Ok { s with Protocol.cache = "hit" }
+        | None -> Hashtbl.find outcomes (dedup_key p)
+      in
+      slots.(i) <- respond t ~rid:p.p_rid p.p_req outcome)
+    (List.rev !dups);
   let responses =
     Array.to_list slots
     |> List.map (function
          | Done r -> r
-         | _ -> assert false)
+         | Job _ -> assert false)
   in
   check_cache_size t;
   Recorder.span_end sp

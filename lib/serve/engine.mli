@@ -3,12 +3,15 @@
     Owns the domain pool, the digest-keyed {!Cache} and the
     latency/throughput instruments.  A batch of requests is prepared
     sequentially (netlist load, delta application, digests, cache
-    probe), then the misses are scheduled on the pool: single-start
-    requests are fanned out together under {!Fpart_exec.Batch}
-    isolation (one crashing request loses only its own slot),
-    multi-start requests shard their seed portfolio across the domains
-    via {!Fpart.Driver.run_best_isolated}, and ECO requests run the
-    {!Eco} warm path with a cold fallback.
+    probe), then every uncached request becomes one slot of one
+    {!Fpart_exec.Batch} fan-out on the pool, whatever its [runs]: a
+    crashing request loses only its own slot.  A cold slot is
+    [Solve.run] on the request's config (a multi-start request runs its
+    seeds in sequence inside its slot), so it answers exactly what
+    [fpart] answers on the same workload; an ECO slot runs the {!Eco}
+    warm path with a cold fallback.  ECO and [inject] requests skip the
+    cache and deduplication; a cacheable workload repeated inside a
+    batch under the same limit runs once.
 
     Observability: every request runs inside a [serve.request] recorder
     span, batches inside [serve.batch], warm starts inside [serve.eco],
@@ -20,16 +23,18 @@
     {b Request tracing.}  The engine mints a process-unique request id
     ([r000001], ...) per answered request and sets it as the recorder's
     request attribution for everything done on the request's behalf —
-    including the per-seed work on pool worker domains — so every span
+    including the work of its slot on a pool worker domain — so every span
     and convergence event serving the request carries a ["req"] field,
     and the optional access log ties the same id to the response
     (id, mode, wall ms, cut, k, digests).  See docs/SERVICE.md. *)
 
 type t
 
-(** [create ~jobs ()] spawns the pool.  [timeout_s] is the default
-    per-request time limit applied to batched single-start jobs (a
-    request's own [timeout_s] wins for multi-start scheduling).
+(** [create ~jobs ()] spawns the pool.  Each request has one time
+    limit: its own [timeout_s], else this default.  The limit is checked
+    when the request's slot finishes (domains cannot be cancelled): a
+    late answer is replaced by [partitioning failed: timed out: ...],
+    an error stands as it is, and a timeout is never cached.
 
     [access] receives one structured record per answered request (the
     JSONL access log).  [cache_warn_mb] arms a one-shot warning through

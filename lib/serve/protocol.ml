@@ -149,6 +149,11 @@ let request_of_json j =
   let* max_passes = lift (opt_member "max_passes" Json.int j) in
   let* refiner = lift (opt_member "refiner" Json.str j) in
   let* timeout_s = lift (opt_member "timeout_s" jfloat j) in
+  let* () =
+    match timeout_s with
+    | Some t when not (t > 0.0) -> fail "\"timeout_s\" must be > 0"
+    | Some _ | None -> Ok ()
+  in
   let* eco = lift (eco_of_json j) in
   let* inject = lift (opt_member "inject" Json.str j) in
   Ok

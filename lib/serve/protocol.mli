@@ -38,6 +38,8 @@ type request = {
       (** "sanchis" | "hybrid"; the engine answers any other name with
           an error. *)
   timeout_s : float option;
+      (** Time limit in seconds, rejected unless > 0; overrides the
+          engine's default. *)
   eco : eco option;
   inject : string option;
       (** Test hook: ["crash"] makes the partitioning job raise inside

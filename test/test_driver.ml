@@ -155,60 +155,6 @@ let test_disconnected_circuit () =
   Alcotest.(check bool) "feasible" true r.Driver.feasible;
   Alcotest.(check bool) "k >= 3" true (r.Driver.k >= 3)
 
-(* --- isolated multi-start (the serving path) --- *)
-
-let crash_on seeds config hg device =
-  if List.mem config.Fpart.Config.seed seeds then
-    failwith (Printf.sprintf "injected crash (seed %d)" config.Fpart.Config.seed)
-  else Driver.run ~config hg device
-
-let test_pick_best_opt_empty () =
-  Alcotest.(check bool) "empty fan-out is None" true
-    (Driver.pick_best_opt [||] = None)
-
-let test_isolated_matches_run_best () =
-  let h = circuit ~cells:120 11 in
-  let best = Driver.run_best ~runs:3 h Device.xc3042 in
-  match Driver.run_best_isolated ~runs:3 h Device.xc3042 with
-  | Error e -> Alcotest.failf "isolated run failed: %s" e
-  | Ok r ->
-    Alcotest.(check int) "same k" best.Driver.k r.Driver.k;
-    Alcotest.(check int) "same cut" best.Driver.cut r.Driver.cut;
-    Alcotest.(check bool) "same assignment" true
-      (best.Driver.assignment = r.Driver.assignment)
-
-let test_isolated_survives_partial_crash () =
-  let h = circuit ~cells:100 5 in
-  let seed0 = Fpart.Config.default.Fpart.Config.seed in
-  match
-    Driver.run_best_isolated ~run_one:(crash_on [ seed0 ]) ~runs:3 h
-      Device.xc3042
-  with
-  | Error e -> Alcotest.failf "all-but-one crash should survive: %s" e
-  | Ok r ->
-    Alcotest.(check bool) "survivor feasible" true r.Driver.feasible;
-    ignore (check_partition h Device.xc3042 r.Driver.delta r.Driver.k r.Driver.assignment)
-
-let test_isolated_all_crash_is_error () =
-  let h = circuit ~cells:60 2 in
-  let seed0 = Fpart.Config.default.Fpart.Config.seed in
-  match
-    Driver.run_best_isolated
-      ~run_one:(crash_on [ seed0; seed0 + 1 ])
-      ~runs:2 h Device.xc3042
-  with
-  | Ok _ -> Alcotest.fail "every start crashed yet got Ok"
-  | Error e ->
-    let contains sub =
-      let n = String.length sub and m = String.length e in
-      let rec go i = i + n <= m && (String.sub e i n = sub || go (i + 1)) in
-      go 0
-    in
-    Alcotest.(check bool) "error names the crash" true (contains "injected crash");
-    Alcotest.(check bool) "error covers both seeds" true
-      (contains (Printf.sprintf "seed %d" seed0)
-      && contains (Printf.sprintf "seed %d" (seed0 + 1)))
-
 let test_cpu_time_positive () =
   let h = circuit ~cells:100 25 in
   let r = Driver.run h Device.xc3020 in
@@ -244,15 +190,6 @@ let () =
           Alcotest.test_case "io-critical" `Quick test_io_critical_circuit;
           Alcotest.test_case "disconnected circuit" `Quick test_disconnected_circuit;
           Alcotest.test_case "cpu time" `Quick test_cpu_time_positive;
-        ] );
-      ( "isolated",
-        [
-          Alcotest.test_case "pick_best_opt empty" `Quick test_pick_best_opt_empty;
-          Alcotest.test_case "matches run_best" `Quick test_isolated_matches_run_best;
-          Alcotest.test_case "partial crash survives" `Quick
-            test_isolated_survives_partial_crash;
-          Alcotest.test_case "all-crash is a typed error" `Quick
-            test_isolated_all_crash_is_error;
         ] );
       ( "kwayx",
         [

@@ -316,17 +316,6 @@ let test_batch_isolation () =
         Alcotest.failf "unexpected batch shape (%d results)"
           (List.length results))
 
-let test_batch_timeout () =
-  Pool.with_pool ~jobs:test_jobs (fun pool ->
-      let f d = if d > 0.0 then Unix.sleepf d in
-      match Batch.run ~timeout_s:0.05 ~pool ~f [ 0.0; 0.2 ] with
-      | [ Ok (); Error (Batch.Timed_out { elapsed_s; limit_s }) ] ->
-        Alcotest.(check bool) "elapsed over limit" true (elapsed_s > limit_s)
-      | [ Ok (); Ok () ] -> Alcotest.fail "slow job not flagged"
-      | results ->
-        Alcotest.failf "unexpected batch shape (%d results)"
-          (List.length results))
-
 let () =
   Alcotest.run "exec"
     [
@@ -376,6 +365,5 @@ let () =
       ( "batch",
         [
           Alcotest.test_case "exception isolation" `Quick test_batch_isolation;
-          Alcotest.test_case "timeout" `Quick test_batch_timeout;
         ] );
     ]

@@ -108,6 +108,33 @@ let test_table1_renders () =
         (contains ~affix:circuit s))
     [ "c3540"; "s38584" ]
 
+(* The sweep varies the harness config, not the published defaults:
+   under the multilevel engine every row is what [Solve.run] gives at
+   that filling ratio. *)
+let test_delta_sweep_follows_config () =
+  let config = { Fpart.Config.default with engine = Fpart.Config.Mlevel } in
+  let table = Experiments.delta_sweep (Experiments.create ~config ()) in
+  let hg =
+    Netlist.Mcnc.surrogate (Option.get (Netlist.Mcnc.find "s9234")) Device.XC3000
+  in
+  let rows =
+    String.split_on_char '\n' table
+    |> List.map (fun l -> String.split_on_char ' ' l |> List.filter (( <> ) ""))
+    |> List.filter_map (function
+         | [ delta; _s_max; _m; k; _feasible; cut ] -> (
+           match float_of_string_opt delta with
+           | Some d -> Some (delta, d, int_of_string k, int_of_string cut)
+           | None -> None)
+         | _ -> None)
+  in
+  Alcotest.(check int) "five sweep rows" 5 (List.length rows);
+  List.iter
+    (fun (label, d, k, cut) ->
+      let r = Solve.run { config with Fpart.Config.delta = Some d } hg Device.xc3020 in
+      Alcotest.(check int) ("k at delta " ^ label) r.Fpart.Driver.k k;
+      Alcotest.(check int) ("cut at delta " ^ label) r.Fpart.Driver.cut cut)
+    rows
+
 let () =
   Alcotest.run "report"
     [
@@ -132,5 +159,7 @@ let () =
           Alcotest.test_case "memoised" `Quick test_run_one_memoised;
           Alcotest.test_case "figures render" `Quick test_figures_render;
           Alcotest.test_case "table1 renders" `Quick test_table1_renders;
+          Alcotest.test_case "delta sweep follows config" `Quick
+            test_delta_sweep_follows_config;
         ] );
     ]

@@ -98,6 +98,20 @@ let test_op_of_line () =
           "request d: \"delta\" must be in (0, 1]" e
       | Ok _ -> Alcotest.failf "delta %s accepted" delta)
     [ "0"; "1.5"; "-0.5" ];
+  (* so is a time limit that no solve can meet *)
+  List.iter
+    (fun limit ->
+      match
+        Protocol.op_of_line
+          (Printf.sprintf
+             "{\"id\":\"t\",\"netlist\":{\"generate\":\"40x6\"},\"device\":\"XC2064\",\"timeout_s\":%s}"
+             limit)
+      with
+      | Error e ->
+        Alcotest.(check string) ("timeout_s " ^ limit)
+          "request t: \"timeout_s\" must be > 0" e
+      | Ok _ -> Alcotest.failf "timeout_s %s accepted" limit)
+    [ "0"; "-1" ];
   match Protocol.op_of_line "{\"op\":\"partition\"" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed line accepted"
@@ -198,6 +212,156 @@ let test_all_crash_batch_then_recovery () =
       let after = success (List.hd (Engine.handle_requests e [ request () ])) in
       Alcotest.(check bool) "next request still answered" true
         after.Protocol.feasible)
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let check_timed_out what (r : Protocol.response) =
+  match r.Protocol.outcome with
+  | Error e ->
+    Alcotest.(check bool) (what ^ " names the overrun") true
+      (contains ~sub:"timed out" e)
+  | Ok _ -> Alcotest.failf "%s ignored its time limit" what
+
+(* One limit rule for every request: its own [timeout_s], whatever its
+   [runs], ECO requests included.  An overrun is an error, never a
+   partial answer, and is never cached, so the same workload sent
+   without a limit computes afresh. *)
+let test_request_time_limit () =
+  with_engine (fun e ->
+      let limited runs = request ~id:"lim" ~runs ~timeout_s:1e-9 () in
+      (match Engine.handle_requests e [ limited 1; limited 2 ] with
+      | [ one; two ] ->
+        check_timed_out "runs 1" one;
+        check_timed_out "runs 2" two
+      | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
+      let cold =
+        match Engine.handle_requests e [ request ~runs:1 (); request ~runs:2 () ] with
+        | [ one; two ] ->
+          Alcotest.(check string) "runs 1 overrun not cached" "miss"
+            (success one).Protocol.cache;
+          Alcotest.(check string) "runs 2 overrun not cached" "miss"
+            (success two).Protocol.cache;
+          success one
+        | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs)
+      in
+      let eco =
+        {
+          Protocol.eco_delta =
+            Protocol.Src_text
+              "remove node gen_c0\nadd cell eco_cell 1\nadd net eco_net eco_cell gen_c1\n";
+          eco_partfile = Protocol.Src_text cold.Protocol.partition;
+        }
+      in
+      (match Engine.handle_requests e [ request ~eco ~timeout_s:1e-9 (); request ~eco () ] with
+      | [ lim; free ] ->
+        check_timed_out "ECO" lim;
+        Alcotest.(check string) "unlimited ECO warm-starts" "warm"
+          (success free).Protocol.mode
+      | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
+      (* a limited duplicate inside one batch does not stand in for an
+         unlimited one *)
+      match
+        Engine.handle_requests e
+          [ request ~seed:7 ~timeout_s:1e-9 (); request ~seed:7 () ]
+      with
+      | [ lim; free ] ->
+        check_timed_out "limited duplicate" lim;
+        Alcotest.(check string) "unlimited occurrence computes" "miss"
+          (success free).Protocol.cache
+      | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
+
+(* The engine default ([--timeout]) is the limit of every request that
+   sets none, whatever its [runs]. *)
+let test_engine_time_limit () =
+  let e = Engine.create ~timeout_s:1e-9 ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown e)
+    (fun () ->
+      match Engine.handle_requests e [ request ~runs:1 (); request ~runs:2 () ] with
+      | [ one; two ] ->
+        check_timed_out "runs 1" one;
+        check_timed_out "runs 2" two
+      | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
+
+(* 200x24/XC2064 at seed 5: a workload where the best of three seeds
+   beats the first, so [runs] changes the answer. *)
+let multi_spec = "200x24"
+let multi_netlist = Protocol.Generate { spec = multi_spec; gen_seed = 5 }
+
+(* A multi-start request is one solve of all its seeds: the answer is
+   bit-identical to [Driver.run_best] on the same workload. *)
+let test_multi_start_matches_run_best () =
+  let name, hg =
+    match Netlist.Load.generate multi_spec ~seed:5 with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "generate: %s" e
+  in
+  let device = Device.xc2064 in
+  let config = { Fpart.Config.default with Fpart.Config.seed = 5 } in
+  let best = Fpart.Driver.run_best ~config ~runs:3 hg device in
+  let first = Fpart.Driver.run_best ~config ~runs:1 hg device in
+  Alcotest.(check bool) "best of three differs from the first seed" true
+    (best.Fpart.Driver.cut <> first.Fpart.Driver.cut);
+  let expected =
+    Netlist.Partfile.to_string
+      (Netlist.Partfile.of_assignment hg ~circuit:name
+         ~delta:(Fpart.Config.delta_for config device)
+         ~block_devices:(Array.make best.Fpart.Driver.k device.Device.dev_name)
+         ~assignment:best.Fpart.Driver.assignment)
+  in
+  with_engine (fun e ->
+      let req = request ~netlist:multi_netlist ~device:"XC2064" ~seed:5 ~runs:3 () in
+      let s = success (List.hd (Engine.handle_requests e [ req ])) in
+      Alcotest.(check int) "same k" best.Fpart.Driver.k s.Protocol.k;
+      Alcotest.(check int) "same cut" best.Fpart.Driver.cut s.Protocol.cut;
+      Alcotest.(check int) "same total pins" best.Fpart.Driver.total_pins
+        s.Protocol.total_pins;
+      Alcotest.(check string) "same partition" expected s.Protocol.partition)
+
+(* A multi-start request that crashes fails as a whole, with the same
+   typed error as a single-start one, and the engine goes on serving. *)
+let test_multi_start_crash_is_error () =
+  with_engine (fun e ->
+      match
+        Engine.handle_requests e
+          [ request ~id:"boom" ~runs:2 ~inject:"crash" (); request ~id:"after" ~runs:2 () ]
+      with
+      | [ boom; after ] ->
+        (match boom.Protocol.outcome with
+        | Error msg ->
+          Alcotest.(check bool) "typed as a failed partitioning" true
+            (String.starts_with ~prefix:"partitioning failed: " msg);
+          Alcotest.(check bool) "names the crash" true
+            (contains ~sub:"injected crash" msg)
+        | Ok _ -> Alcotest.fail "crashed multi-start request returned Ok");
+        Alcotest.(check bool) "next multi-start request answered" true
+          (success after).Protocol.feasible
+      | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
+
+(* Each request is one slot of the batch fan-out, so the answers do not
+   depend on how many domains run the slots. *)
+let test_batch_answers_jobs_independent () =
+  let reqs =
+    [
+      request ~id:"a" ~netlist:multi_netlist ~device:"XC2064" ~seed:5 ~runs:3 ();
+      request ~id:"b" ~seed:2 ();
+      request ~id:"c" ~netlist:multi_netlist ~device:"XC3020" ~runs:2 ();
+      request ~id:"d" ~runs:3 ~seed:9 ();
+    ]
+  in
+  let answers jobs =
+    with_engine ~jobs (fun e ->
+        List.map
+          (fun r ->
+            let s = success r in
+            (s.Protocol.k, s.Protocol.cut, s.Protocol.partition))
+          (Engine.handle_requests e reqs))
+  in
+  Alcotest.(check (list (triple int int string))) "jobs 1 and jobs 2 agree"
+    (answers 1) (answers 2)
 
 (* ------------------------------------------------------------------ *)
 (* ECO warm start *)
@@ -424,6 +588,14 @@ let () =
             test_all_crash_batch_then_recovery;
           Alcotest.test_case "unknown refiner is an error" `Quick
             test_unknown_refiner_rejected;
+          Alcotest.test_case "request time limit" `Quick test_request_time_limit;
+          Alcotest.test_case "engine time limit" `Quick test_engine_time_limit;
+          Alcotest.test_case "multi-start matches run_best" `Quick
+            test_multi_start_matches_run_best;
+          Alcotest.test_case "multi-start crash is a typed error" `Quick
+            test_multi_start_crash_is_error;
+          Alcotest.test_case "batch answers do not depend on jobs" `Quick
+            test_batch_answers_jobs_independent;
         ] );
       ( "eco",
         [
