@@ -171,7 +171,12 @@ let bench_fbb =
 let bench_cluster_build =
   Test.make ~name:"ext/cluster-build-c3540"
     (Staged.stage (fun () ->
-         ignore (Cluster.build (Lazy.force c3540_3000) ~max_cluster_size:4 ~seed:1)))
+         let hg = Lazy.force c3540_3000 in
+         let map, coarse_nodes =
+           Cluster.Matching.compute ~policy:Cluster.Matching.Agglomerate
+             ~max_weight:4 ~seed:1 hg
+         in
+         ignore (Hypergraph.Hgraph.contract hg ~map ~coarse_nodes)))
 
 let bench_fpart_clustered =
   Test.make ~name:"ext/fpart-clustered-c3540-xc3020"

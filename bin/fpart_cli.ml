@@ -149,21 +149,35 @@ let partition algo hg device ~config ~delta ~seed =
     let r = Flow.Fbb_mw.partition hg device cfg in
     (r.Flow.Fbb_mw.k, r.Flow.Fbb_mw.assignment, r.Flow.Fbb_mw.feasible, [])
 
+(* An output file that cannot be written fails the run (exit 1). *)
+let write_output path write =
+  try Ok (write ())
+  with Sys_error msg ->
+    Error
+      (Printf.sprintf "cannot write %s: %s" path (Netlist.Textfile.reason ~path msg))
+
 let write_blocks prefix name hg assignment k =
-  for b = 0 to k - 1 do
-    let sub =
-      (Hypergraph.Induce.induce hg ~keep:(fun v -> assignment.(v) = b))
-        .Hypergraph.Induce.sub
-    in
-    let path = Printf.sprintf "%s_block%d.blif" prefix b in
-    (* pads in subcircuits may have several nets after cutting; export
-       structurally instead when that happens *)
-    (try
-       Netlist.Blif.write_file path
-         (Netlist.Blif.of_hypergraph ~name:(Printf.sprintf "%s_b%d" name b) sub)
-     with Invalid_argument msg ->
-       Printf.eprintf "warning: %s not written (%s)\n" path msg)
-  done
+  let rec from b =
+    if b = k then Ok ()
+    else
+      let sub =
+        (Hypergraph.Induce.induce hg ~keep:(fun v -> assignment.(v) = b))
+          .Hypergraph.Induce.sub
+      in
+      let path = Printf.sprintf "%s_block%d.blif" prefix b in
+      (* pads in subcircuits may have several nets after cutting; export
+         structurally instead when that happens *)
+      let written =
+        write_output path (fun () ->
+            try
+              Netlist.Blif.write_file path
+                (Netlist.Blif.of_hypergraph ~name:(Printf.sprintf "%s_b%d" name b) sub)
+            with Invalid_argument msg ->
+              Printf.eprintf "warning: %s not written (%s)\n" path msg)
+      in
+      Result.bind written (fun () -> from (b + 1))
+  in
+  from 0
 
 (* --check FILE: load a saved partition and validate it instead of
    partitioning from scratch. *)
@@ -237,24 +251,36 @@ let main input generate device_name delta algo engine seed runs cluster jobs
               trace_events
           end
         end;
-        (match dot with
-        | Some path ->
-          Hypergraph.Dot.write_file path ~assignment ~name hg;
-          Format.printf "graphviz rendering written to %s@." path
-        | None -> ());
-        (match output with
-        | Some prefix -> write_blocks prefix name hg assignment k
-        | None -> ());
-        (match save with
-        | Some path ->
-          let pf =
-            Netlist.Partfile.of_assignment hg ~circuit:name ~delta:d
-              ~block_devices:(Array.make k device.Device.dev_name)
-              ~assignment
-          in
-          Netlist.Partfile.write_file path pf;
-          Format.printf "partition written to %s@." path
-        | None -> ());
+        let ( let* ) = Result.bind in
+        let* () =
+          match dot with
+          | Some path ->
+            let* () =
+              write_output path (fun () ->
+                  Hypergraph.Dot.write_file path ~assignment ~name hg)
+            in
+            Ok (Format.printf "graphviz rendering written to %s@." path)
+          | None -> Ok ()
+        in
+        let* () =
+          match output with
+          | Some prefix -> write_blocks prefix name hg assignment k
+          | None -> Ok ()
+        in
+        let* () =
+          match save with
+          | Some path ->
+            let pf =
+              Netlist.Partfile.of_assignment hg ~circuit:name ~delta:d
+                ~block_devices:(Array.make k device.Device.dev_name)
+                ~assignment
+            in
+            let* () =
+              write_output path (fun () -> Netlist.Partfile.write_file path pf)
+            in
+            Ok (Format.printf "partition written to %s@." path)
+          | None -> Ok ()
+        in
         (match ledger with
         | Some path ->
           let prefix =

@@ -159,8 +159,8 @@ let check_driver rng hg =
 let check_jobs rng hg =
   let device = device_of_name (Sm.choose rng devices) in
   let config = { Fpart.Config.default with seed = Sm.int rng 0xFFFF } in
-  let r1 = Fpart.Driver.run_best ~config ~jobs:1 ~runs:3 hg device in
-  let r4 = Fpart.Driver.run_best ~config ~jobs:4 ~runs:3 hg device in
+  let r1 = Fpart.Driver.run_best ~config ~runs:3 hg device in
+  let r4 = Fpart.Driver.run_best ~config:{ config with jobs = 4 } ~runs:3 hg device in
   if
     r1.Fpart.Driver.k = r4.Fpart.Driver.k
     && r1.Fpart.Driver.assignment = r4.Fpart.Driver.assignment

@@ -227,13 +227,7 @@ let regress_cmd =
    exposition, 2 unreachable/unreadable source. *)
 
 let fetch_page source =
-  if Sys.file_exists source then begin
-    let ic = open_in_bin source in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    Ok text
-  end
+  if Sys.file_exists source then Netlist.Textfile.read source
   else Serve.Http.get ~addr:source "/metrics"
 
 let parse_page source text =

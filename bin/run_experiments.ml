@@ -17,7 +17,6 @@ let artifacts =
     ("ablations", Report.Experiments.ablations);
     ("variance", Report.Experiments.variance);
     ("modern", Report.Experiments.modern);
-    ("anneal", Report.Experiments.anneal);
     ("delta_sweep", Report.Experiments.delta_sweep);
     ("csv2", Report.Experiments.csv2);
     ("csv3", Report.Experiments.csv3);

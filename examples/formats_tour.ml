@@ -81,8 +81,4 @@ let () =
           from_verilog
       in
       let report = Partition.Check.of_assignment from_verilog ~k ~assignment ~ctx in
-      Format.printf "%a" Partition.Check.pp report;
-      let st =
-        Partition.State.create from_verilog ~k ~assign:(fun v -> assignment.(v))
-      in
-      Format.printf "quality: %a@." Partition.Metrics.pp (Partition.Metrics.all st))
+      Format.printf "%a" Partition.Check.pp report)

@@ -1,8 +1,9 @@
 (** Heavy-edge / cone-aware matching on circuit hypergraphs.
 
     The single source of coarsening decisions: both the multilevel
-    engine's per-level pairing and {!Cluster}'s agglomerative pre-pass
-    delegate here, so the connectivity heuristic lives in one place.
+    engine's per-level pairing and the flat driver's clustering
+    pre-pass ([Fpart.Config.cluster_size]) delegate here, so the
+    connectivity heuristic lives in one place.
 
     Scoring follows the classical edge-coarsening weight: each net
     shared between two nodes contributes [1/(degree-1)], except that
@@ -25,8 +26,8 @@ type policy =
   | Agglomerate
       (** Greedy cluster growth: a visit seeds a group that repeatedly
           absorbs its best unmatched neighbour while the summed size
-          stays within [max_weight].  {!Cluster}'s historical
-          behaviour, reaching higher per-pass reduction. *)
+          stays within [max_weight].  The clustering pre-pass's
+          policy, reaching higher per-pass reduction. *)
 
 (** [compute ~policy ~max_weight ~seed hg] returns
     [(map, coarse_nodes)] where [map.(v)] is [v]'s group and group ids

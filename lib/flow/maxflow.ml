@@ -149,7 +149,3 @@ let source_side t ~source =
       adj.(v)
   done;
   seen
-
-let edge_flow t id = t.edge_flow.(id)
-let num_nodes t = t.nodes
-let num_edges t = t.n_edges / 2

@@ -37,11 +37,3 @@ val total_flow : t -> int
     the residual graph; after a completed [max_flow] this is the
     source side of a minimum cut. *)
 val source_side : t -> source:int -> bool array
-
-(** [edge_flow t id] is the current flow on edge [id]. *)
-val edge_flow : t -> int -> int
-
-(** [num_nodes t] and [num_edges t] describe the graph size. *)
-val num_nodes : t -> int
-
-val num_edges : t -> int

@@ -8,21 +8,22 @@ let refiner_name = name_in refiners
 let engine_name = name_in engines
 let refiner_of_string s = List.assoc_opt s refiners
 
+(* The published values no experiment varies (section 4). *)
+let sigma1 = 0.5
+let sigma2 = 0.5
+let n_small = 15
+let eps_max_multi = 1.05
+let eps_max_two = 1.05
+let eps_min_multi = 0.3
+
 type t = {
   delta : float option;
-  sigma1 : float;
-  sigma2 : float;
-  n_small : int;
   cost : Partition.Cost.params;
-  eps_max_multi : float;
-  eps_max_two : float;
-  eps_min_multi : float;
   eps_min_two : float;
   stack_depth : int;
   max_passes : int;
   gain_levels : int;
   bucket_discipline : Gainbucket.Bucket_array.discipline;
-  scan_limit : int;
   gain_mode : Sanchis.gain_mode;
   drift_limit : int option;
   random_initial : bool;
@@ -38,19 +39,12 @@ type t = {
 let default =
   {
     delta = None;
-    sigma1 = 0.5;
-    sigma2 = 0.5;
-    n_small = 15;
     cost = Partition.Cost.default_params;
-    eps_max_multi = 1.05;
-    eps_max_two = 1.05;
-    eps_min_multi = 0.3;
     eps_min_two = 0.95;
     stack_depth = 4;
     max_passes = 8;
     gain_levels = 2;
     bucket_discipline = Gainbucket.Bucket_array.Lifo;
-    scan_limit = 16;
     gain_mode = Sanchis.Cut_gain;
     drift_limit = None;
     random_initial = false;
@@ -72,7 +66,6 @@ let sanchis t =
   let pin = t.gain_mode = Sanchis.Pin_gain in
   {
     Sanchis.gain_levels = t.gain_levels;
-    scan_limit = t.scan_limit;
     max_passes = t.max_passes;
     stack_depth = t.stack_depth;
     gain_mode = t.gain_mode;
@@ -95,9 +88,9 @@ let sanchis t =
 
 let flow t = { Flow.Refine.default_config with max_passes = min 4 t.max_passes }
 
-let free_space t ~s_max ~t_max ~size ~pins =
-  (t.sigma1 *. (float_of_int (s_max - size) /. float_of_int s_max))
-  +. (t.sigma2 *. (float_of_int (t_max - pins) /. float_of_int t_max))
+let free_space ~s_max ~t_max ~size ~pins =
+  (sigma1 *. (float_of_int (s_max - size) /. float_of_int s_max))
+  +. (sigma2 *. (float_of_int (t_max - pins) /. float_of_int t_max))
 
 (* Canonical configuration digest: every field that can change the
    partitioning result, rendered to a fixed textual form and hashed.
@@ -109,18 +102,12 @@ let digest ?(extra = "") t =
   let f name v = Buffer.add_string b (Printf.sprintf "%s=%.9g;" name v) in
   let i name v = Buffer.add_string b (Printf.sprintf "%s=%d;" name v) in
   let s name v = Buffer.add_string b (Printf.sprintf "%s=%s;" name v) in
-  s "schema" "fpart-config/2";
+  s "schema" "fpart-config/3";
   (match t.delta with Some d -> f "delta" d | None -> s "delta" "paper");
-  f "sigma1" t.sigma1;
-  f "sigma2" t.sigma2;
-  i "n_small" t.n_small;
   f "lambda_s" t.cost.Partition.Cost.lambda_s;
   f "lambda_t" t.cost.Partition.Cost.lambda_t;
   f "lambda_r" t.cost.Partition.Cost.lambda_r;
   f "lambda_f" t.cost.Partition.Cost.lambda_f;
-  f "eps_max_multi" t.eps_max_multi;
-  f "eps_max_two" t.eps_max_two;
-  f "eps_min_multi" t.eps_min_multi;
   f "eps_min_two" t.eps_min_two;
   i "stack_depth" t.stack_depth;
   i "max_passes" t.max_passes;
@@ -129,7 +116,6 @@ let digest ?(extra = "") t =
     (match t.bucket_discipline with
     | Gainbucket.Bucket_array.Lifo -> "lifo"
     | Gainbucket.Bucket_array.Fifo -> "fifo");
-  i "scan_limit" t.scan_limit;
   s "gain_mode"
     (match t.gain_mode with Sanchis.Cut_gain -> "cut" | Sanchis.Pin_gain -> "pin");
   (match t.drift_limit with Some d -> i "drift_limit" d | None -> s "drift_limit" "off");

@@ -1,8 +1,10 @@
 (** FPART algorithm parameters.
 
-    All knobs of the paper with their published values as defaults
-    (section 4: "All the results of the FPART algorithm were obtained
-    with the following fixed values...").
+    The paper runs FPART with fixed values (section 4: "All the results
+    of the FPART algorithm were obtained with the following fixed
+    values...").  The values no experiment varies are the constants
+    below; the knobs the ablations, the CLI or the service vary are
+    fields of {!t}, with the published values as {!default}.
 
     A note on the move-region coefficients: the paper's text writes the
     feasible move region as [S_MAX·(1-ε_min) ≤ S_i ≤ S_MAX·(1+ε_max)]
@@ -52,23 +54,34 @@ val engine_name : engine -> string
 (** [refiner_of_string s] looks [s] up in {!refiners}. *)
 val refiner_of_string : string -> refiner option
 
+(** {1 Fixed parameters}
+
+    Published values no experiment varies.  The free-space weights
+    [σ1 = σ2 = 0.5] are read only by {!free_space}, and the tie-break
+    scan bound lives in [Sanchis]. *)
+
+val n_small : int  (** Threshold [N_small] between strategies (15). *)
+
+val eps_max_multi : float  (** [ε*_max] = 1.05. *)
+
+val eps_max_two : float  (** [ε²_max] = 1.05. *)
+
+val eps_min_multi : float  (** [ε*_min] = 0.3. *)
+
+(** {1 Knobs} *)
+
 type t = {
   delta : float option;
       (** Filling ratio; [None] uses {!Device.paper_delta}. *)
-  sigma1 : float;  (** Size weight in the free-space estimate (0.5). *)
-  sigma2 : float;  (** Pin weight in the free-space estimate (0.5). *)
-  n_small : int;   (** Threshold [N_small] between strategies (15). *)
   cost : Partition.Cost.params;  (** λ^S, λ^T, λ^R. *)
-  eps_max_multi : float;  (** [ε*_max] = 1.05. *)
-  eps_max_two : float;    (** [ε²_max] = 1.05. *)
-  eps_min_multi : float;  (** [ε*_min] = 0.3. *)
-  eps_min_two : float;    (** [ε²_min] = 0.95. *)
+  eps_min_two : float;
+      (** [ε²_min] = 0.95; the [loose-2blk-window] ablation sets it to
+          {!eps_min_multi}. *)
   stack_depth : int;      (** [D_stack] = 4. *)
   max_passes : int;       (** Pass budget per improvement execution. *)
   gain_levels : int;      (** Lookahead gain depth (section 3.7); 2 = published. *)
   bucket_discipline : Gainbucket.Bucket_array.discipline;
       (** LIFO (published default) or FIFO gain buckets (section 1). *)
-  scan_limit : int;       (** Tie-break scan bound per bucket. *)
   gain_mode : Sanchis.gain_mode;
       (** Primary gain: published [Cut_gain], or the future-work
           [Pin_gain] (section 5). *)
@@ -133,15 +146,16 @@ val sanchis : t -> Sanchis.config
     wired pair, so a handful already reaches the fixed point. *)
 val flow : t -> Flow.Refine.config
 
-(** [free_space t ~s_max ~t_max ~size ~pins] is the free-space estimate
+(** [free_space ~s_max ~t_max ~size ~pins] is the free-space estimate
     [F = σ1·(S_MAX-S_i)/S_MAX + σ2·(T_MAX-|Y_i|)/T_MAX] used to pick
-    [P_MIN_F] (section 3.1). *)
-val free_space : t -> s_max:int -> t_max:int -> size:int -> pins:int -> float
+    [P_MIN_F] (section 3.1), with the published [σ1 = σ2 = 0.5]. *)
+val free_space : s_max:int -> t_max:int -> size:int -> pins:int -> float
 
 (** [digest ?extra t] is a hex digest of the canonical rendering of
     every result-relevant field, [engine] and [runs] included ([jobs]
     and [selfcheck] are excluded — both are documented never to change
-    the produced partition).  [?extra] folds caller-side knobs (the
+    the produced partition — and the fixed parameters are constants of
+    the build, not of [t]).  [?extra] folds caller-side knobs (the
     CLI's baseline algorithm) into the same digest.  This is the
     producer behind the [config_digest] field of run-ledger entries
     and serve responses, so one workload gets one digest from both. *)

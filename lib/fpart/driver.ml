@@ -117,7 +117,7 @@ let run_flat ?pool config hg device =
           (* improvement schedule of section 3.1 *)
           Improve.pair imp st ~iteration ~remainder:r ~other:j ~allow_violation
             ~kind:Trace.Pair_latest;
-          if m <= config.Config.n_small then
+          if m <= Config.n_small then
             Improve.all_blocks imp st ~iteration ~remainder:r ~allow_violation;
           let pair_with kind = function
             | Some b ->
@@ -127,9 +127,9 @@ let run_flat ?pool config hg device =
           pair_with Trace.Min_size (Schedule.min_size_block st ~except:r);
           pair_with Trace.Min_io (Schedule.min_io_block st ~except:r);
           pair_with Trace.Max_free
-            (Schedule.max_free_block config st ~except:r ~s_max:ctx.Cost.s_max
+            (Schedule.max_free_block st ~except:r ~s_max:ctx.Cost.s_max
                ~t_max:ctx.Cost.t_max);
-          if blocks_now = m && m <= config.Config.n_small then
+          if blocks_now = m && m <= Config.n_small then
             for i = 0 to j do
               Improve.pair imp st ~iteration ~remainder:r ~other:i ~allow_violation
                 ~kind:Trace.Final_pairs
@@ -215,10 +215,15 @@ let refine config ctx st =
 
 let run_clustered ?pool config hg device ~max_cluster_size =
   let t0 = Sys.time () in
-  let cl = Cluster.build hg ~max_cluster_size ~seed:config.Config.seed in
+  let map, coarse_nodes =
+    Cluster.Matching.compute ~policy:Cluster.Matching.Agglomerate
+      ~max_weight:max_cluster_size ~seed:config.Config.seed hg
+  in
   let coarse_config = { config with Config.cluster_size = None } in
-  let coarse = run_flat ?pool coarse_config (Cluster.coarse cl) device in
-  let assign = Cluster.project cl coarse.assignment in
+  let coarse =
+    run_flat ?pool coarse_config (Hg.contract hg ~map ~coarse_nodes) device
+  in
+  let assign = Array.map (fun c -> coarse.assignment.(c)) map in
   let st = State.create hg ~k:coarse.k ~assign:(fun v -> assign.(v)) in
   let delta = Config.delta_for config device in
   let ctx = Cost.context_of device ~delta hg in
@@ -254,9 +259,9 @@ let pick_best results =
 
 let run_config config i = { config with Config.seed = config.Config.seed + i }
 
-let run_best ?(config = Config.default) ?jobs ~runs hg device =
+let run_best ?(config = Config.default) ~runs hg device =
   if runs < 1 then invalid_arg "Driver.run_best: runs < 1";
-  let jobs = match jobs with Some j -> j | None -> config.Config.jobs in
+  let jobs = config.Config.jobs in
   if jobs < 1 then invalid_arg "Driver.run_best: jobs < 1";
   let t0 = Sys.time () in
   let r =

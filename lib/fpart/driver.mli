@@ -40,7 +40,7 @@ val run :
   Device.t ->
   result
 
-(** [run_best ?config ?jobs ~runs h device] runs FPART [runs] times with
+(** [run_best ?config ~runs h device] runs FPART [runs] times with
     seeds [config.seed, config.seed+1, ...] and returns the best result
     (feasible first, then fewest devices, then cut, then total pins;
     the first of equals wins).  "Number of runs" is one of the classical
@@ -50,15 +50,14 @@ val run :
     partition service isolates each request as a whole
     ([Serve.Engine]).
 
-    [?jobs] (default [config.jobs]) fans the runs out over a domain pool;
-    the reduction applies the lexicographic comparison in run order, so
-    the returned solution is bit-identical for every [jobs] (only
-    [cpu_seconds] varies).  With [runs = 1] the domains are spent inside
-    the single run instead (initial-bipartition portfolio).
-    @raise Invalid_argument if [runs < 1] or [jobs < 1]. *)
+    [config.jobs] fans the runs out over a domain pool; the reduction
+    applies the lexicographic comparison in run order, so the returned
+    solution is bit-identical for every [jobs] (only [cpu_seconds]
+    varies).  With [runs = 1] the domains are spent inside the single
+    run instead (initial-bipartition portfolio).
+    @raise Invalid_argument if [runs < 1] or [config.jobs < 1]. *)
 val run_best :
   ?config:Config.t ->
-  ?jobs:int ->
   runs:int ->
   Hypergraph.Hgraph.t ->
   Device.t ->

@@ -19,8 +19,8 @@ let scale_upper s_max eps = int_of_float (Float.ceil (eps *. float_of_int s_max)
 let windows t st ~remainder ~allow_violation ~two_block =
   let k = State.k st in
   let s_max = t.ctx.Cost.s_max in
-  let eps_min = if two_block then t.cfg.Config.eps_min_two else t.cfg.Config.eps_min_multi in
-  let eps_max = if two_block then t.cfg.Config.eps_max_two else t.cfg.Config.eps_max_multi in
+  let eps_min = if two_block then t.cfg.Config.eps_min_two else Config.eps_min_multi in
+  let eps_max = if two_block then Config.eps_max_two else Config.eps_max_multi in
   let lower = Array.make k 0 in
   let upper = Array.make k max_int in
   for b = 0 to k - 1 do

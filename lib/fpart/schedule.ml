@@ -16,9 +16,9 @@ let min_size_block st ~except =
 let min_io_block st ~except =
   argbest st ~except ~better:(fun i j -> State.pins_of st i < State.pins_of st j)
 
-let max_free_block cfg st ~except ~s_max ~t_max =
+let max_free_block st ~except ~s_max ~t_max =
   let free i =
-    Config.free_space cfg ~s_max ~t_max ~size:(State.size_of st i)
+    Config.free_space ~s_max ~t_max ~size:(State.size_of st i)
       ~pins:(State.pins_of st i)
   in
   argbest st ~except ~better:(fun i j -> free i > free j)

@@ -14,7 +14,7 @@ val min_size_block : Partition.State.t -> except:int -> int option
     terminals. *)
 val min_io_block : Partition.State.t -> except:int -> int option
 
-(** [max_free_block cfg st ~except ~s_max ~t_max] is the non-[except]
+(** [max_free_block st ~except ~s_max ~t_max] is the non-[except]
     block with the largest free-space estimate [F]. *)
 val max_free_block :
-  Config.t -> Partition.State.t -> except:int -> s_max:int -> t_max:int -> int option
+  Partition.State.t -> except:int -> s_max:int -> t_max:int -> int option

@@ -204,10 +204,3 @@ let parse_string text =
       | _ -> err lineno (Printf.sprintf "unrecognised line %S" line))
   in
   go 1 lines
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text

@@ -58,6 +58,4 @@ val apply : t -> Hypergraph.Hgraph.t -> (Hypergraph.Hgraph.t, string) result
     1-based line number. *)
 val parse_string : string -> (t, string) result
 
-val parse_file : string -> (t, string) result
-
 val to_string : t -> string

@@ -133,12 +133,7 @@ let write_file path t =
   let text = to_string t in
   Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+let parse_file path = Result.bind (Textfile.read path) parse_string
 
 (* Position of the [i]-th assignment entry for error messages: the
    original file line when the value came from the parser, the entry

@@ -350,12 +350,7 @@ let parse_string text =
   | Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
   | Invalid_argument msg -> Error msg
 
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+let parse_file path = Result.bind (Textfile.read path) parse_string
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                           *)

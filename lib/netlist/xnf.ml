@@ -126,13 +126,8 @@ let parse_string ?(name = "xnf") text =
     | Error msg -> Error ("internal: invalid hypergraph from XNF: " ^ msg))
 
 let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  match parse_string ~name:(Filename.remove_extension (Filename.basename path)) text with
-  | Ok _ as ok -> ok
-  | Error _ as e -> e
+  Result.bind (Textfile.read path)
+    (parse_string ~name:(Filename.remove_extension (Filename.basename path)))
 
 let to_string d =
   let h = d.graph in

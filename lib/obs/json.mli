@@ -18,8 +18,6 @@ type t =
     [Float]. *)
 val to_string : t -> string
 
-val to_buffer : Buffer.t -> t -> unit
-
 (** Strict recursive-descent parser for the subset {!to_string} emits
     (standard JSON).  Numbers containing [.], [e] or [E] parse as
     [Float], others as [Int].  Rejects trailing garbage. *)

@@ -464,15 +464,15 @@ let figure3 _t =
   Buffer.add_string buf
     (Printf.sprintf
        "(a) multi-block pass : non-remainder blocks in [%d, %d]  (eps*_min = %.2f, eps*_max = %.2f)\n"
-       (w cfg.Fpart.Config.eps_min_multi)
-       (w cfg.Fpart.Config.eps_max_multi)
-       cfg.Fpart.Config.eps_min_multi cfg.Fpart.Config.eps_max_multi);
+       (w Fpart.Config.eps_min_multi)
+       (w Fpart.Config.eps_max_multi)
+       Fpart.Config.eps_min_multi Fpart.Config.eps_max_multi);
   Buffer.add_string buf
     (Printf.sprintf
        "(b) two-block pass   : non-remainder blocks in [%d, %d]  (eps2_min = %.2f, eps2_max = %.2f)\n"
        (w cfg.Fpart.Config.eps_min_two)
-       (w cfg.Fpart.Config.eps_max_two)
-       cfg.Fpart.Config.eps_min_two cfg.Fpart.Config.eps_max_two);
+       (w Fpart.Config.eps_max_two)
+       cfg.Fpart.Config.eps_min_two Fpart.Config.eps_max_two);
   Buffer.add_string buf
     "    remainder block  : [0, +inf)  (eps^R_max = infinity)\n";
   Buffer.add_string buf
@@ -494,7 +494,7 @@ let ablation_variants base =
     ("no-stacks", { base with Fpart.Config.stack_depth = 0 });
     ("single-pass", { base with Fpart.Config.max_passes = 1 });
     ( "loose-2blk-window",
-      { base with Fpart.Config.eps_min_two = base.Fpart.Config.eps_min_multi } );
+      { base with Fpart.Config.eps_min_two = Fpart.Config.eps_min_multi } );
     ( "no-deviation-penalty",
       {
         base with
@@ -715,48 +715,9 @@ let delta_sweep t =
     ~header:[ "delta"; "S_MAX"; "M"; "k"; "feasible"; "cut" ]
     ~align:[ Table.Left ] rows
 
-(* ------------------------------------------------------------------ *)
-(* Simulated annealing                                                *)
-(* ------------------------------------------------------------------ *)
-
-let anneal_circuits = [ "c3540"; "s5378"; "s9234"; "s13207" ]
-
-(* FPART vs simulated annealing (the other classical iterative-
-   improvement family; the paper's reference [17] is the canonical FM
-   vs SA comparison).  At comparable budgets SA reaches feasibility on
-   the easy rows but with clearly worse cuts, and falls behind in k on
-   the harder ones. *)
-let anneal t =
-  let device = Device.xc3020 in
-  let rows =
-    List.map
-      (fun c ->
-        t.progress (Printf.sprintf "annealing %s ..." c.Mcnc.circuit_name);
-        let hg = graph_of t c device.Device.family in
-        let fp = run_one t Fpart_algo c device in
-        let sa = Anneal.Sa.partition hg device Anneal.Sa.default_config in
-        [
-          c.Mcnc.circuit_name;
-          string_of_int fp.k;
-          string_of_int fp.cut;
-          string_of_int sa.Anneal.Sa.k;
-          string_of_int sa.Anneal.Sa.cut;
-          (if sa.Anneal.Sa.feasible then "yes" else "NO");
-          Printf.sprintf "%.1f" sa.Anneal.Sa.cpu_seconds;
-        ])
-      (List.filter_map Mcnc.find anneal_circuits)
-  in
-  Table.render
-    ~title:
-      "Simulated annealing vs FPART on XC3020 (the paper's reference [17] \
-       comparison class)"
-    ~header:[ "Circuit"; "FPART k"; "cut"; "SA k"; "SA cut"; "SA feas"; "SA cpu" ]
-    ~align:[ Table.Left ] rows
-
 let all t =
   String.concat "\n"
     [
       table1 t; table2 t; table3 t; table4 t; table5 t; table6 t; figure1 t;
-      figure2 t; figure3 t; ablations t; modern t; anneal t; variance t;
-      delta_sweep t;
+      figure2 t; figure3 t; ablations t; modern t; variance t; delta_sweep t;
     ]

@@ -134,12 +134,6 @@ val modern : t -> string
     (δ = 0.9). *)
 val delta_sweep : t -> string
 
-(** {1 Simulated annealing}
-
-    FPART vs a feasibility-aware simulated annealer — the comparison
-    class of the paper's reference [17]. *)
-val anneal : t -> string
-
 (** Every table and figure, concatenated in paper order, then the
-    ablations, modern-baseline, annealing and variance studies. *)
+    ablations, modern-baseline and variance studies. *)
 val all : t -> string

@@ -25,12 +25,14 @@ let c_delta_updates = Obs.counter "sanchis.delta.updates"
 let c_delta_avoided = Obs.counter "sanchis.delta.avoided"
 let h_move_gain = Obs.histogram "sanchis.move_gain"
 
+(* Tie-breaks score at most this many cells from the top of one bucket
+   (the published configuration). *)
+let scan_limit = 16
 
 type gain_mode = Cut_gain | Pin_gain
 
 type config = {
   gain_levels : int;
-  scan_limit : int;
   max_passes : int;
   stack_depth : int;
   gain_mode : gain_mode;
@@ -44,7 +46,6 @@ type config = {
 let default_config =
   {
     gain_levels = 2;
-    scan_limit = 16;
     max_passes = 8;
     stack_depth = 4;
     gain_mode = Cut_gain;
@@ -211,7 +212,7 @@ let make_ctx st spec cfg eval =
     touch_stamp = Array.make (max n 1) 0;
     stamp = 0;
     delta = Array.make (max (n * nb) 1) 0;
-    scan = Array.make (max cfg.scan_limit 1) 0;
+    scan = Array.make scan_limit 0;
     lookahead = Array.make levels 0;
     best =
       {
@@ -512,7 +513,7 @@ let scan_bucket ctx ~gate_cells ~gain dir =
   and b = ctx.spec.active.(dir_target ctx dir) in
   let set = if gate_cells then ctx.cells else ctx.pads in
   let n =
-    Bucket.fold_top (Dirset.bucket set dir) ~limit:ctx.cfg.scan_limit ~init:0
+    Bucket.fold_top (Dirset.bucket set dir) ~limit:scan_limit ~init:0
       ~f:(fun i c ->
         ctx.scan.(i) <- c;
         i + 1)

@@ -37,7 +37,6 @@ type config = {
           1 = classical FM (no lookahead), 2 = the paper's published
           configuration, 3+ = deeper lookahead (which reference [7] of
           the paper found not to pay for itself — see the ablations). *)
-  scan_limit : int;    (** Bound on tie-break scans per bucket (≥ 1). *)
   max_passes : int;    (** Pass budget per execution (≥ 1). *)
   stack_depth : int;   (** [D_stack]; 0 disables stack restarts. *)
   gain_mode : gain_mode;
@@ -71,8 +70,9 @@ type config = {
           mutate the state. *)
 }
 
-(** Paper values: gain levels 2, scan limit 16, 8 passes per execution,
-    stack depth 4, cut gain, no drift limit, salt 0, no hooks. *)
+(** Paper values: gain levels 2, 8 passes per execution, stack depth 4,
+    cut gain, no drift limit, salt 0, no hooks.  Tie-breaks scan at most
+    16 cells per bucket, a constant of the engine. *)
 val default_config : config
 
 (** Which blocks take part, and the per-block size windows of the

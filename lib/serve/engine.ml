@@ -73,8 +73,6 @@ let served t = t.served
 
 let cache_hits t = Cache.hits t.cache
 
-let cache_misses t = Cache.misses t.cache
-
 let shutdown t = Fpart_exec.Pool.shutdown t.pool
 
 (* --- request preparation ------------------------------------------- *)
@@ -96,9 +94,7 @@ let ( let* ) = Result.bind
 
 let load_netlist = function
   | Protocol.Path path ->
-    if not (Sys.file_exists path) then
-      Error (Printf.sprintf "%s: no such file" path)
-    else Netlist.Load.file path
+    Result.map_error (Printf.sprintf "cannot parse %s: %s" path) (Netlist.Load.file path)
   | Protocol.Inline_blif text ->
     let* m = Netlist.Blif.parse_string text in
     Ok (m.Netlist.Blif.model_name, m.Netlist.Blif.graph)
@@ -130,15 +126,7 @@ let config_of_request (req : Protocol.request) =
 let read_source what = function
   | Protocol.Src_text text -> Ok text
   | Protocol.Src_path path ->
-    if not (Sys.file_exists path) then
-      Error (Printf.sprintf "%s %s: no such file" what path)
-    else begin
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      Ok text
-    end
+    Result.map_error (Printf.sprintf "%s %s: %s" what path) (Netlist.Textfile.read path)
 
 let prepare ~rid (req : Protocol.request) =
   let* device =
@@ -214,13 +202,29 @@ let success_of_result p ~mode ~cache ~wall_ms ~k ~assignment ~feasible ~cut
       partition = Netlist.Partfile.to_string pf;
     }
 
+(* [in_span name p f] runs [f] inside the recorder span [name], closed
+   with the request's id and the attributes [f] returns.  A raise
+   closes the span with an [error] attribute and goes on into the
+   batch slot, so the trace keeps a record of a crashed request. *)
+let in_span name p f =
+  let id = ("id", Json.Str p.p_req.Protocol.id) in
+  let sp = Recorder.span_begin name in
+  match f () with
+  | result, attrs ->
+    Recorder.span_end sp ~attrs:(id :: attrs);
+    result
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Recorder.span_end sp ~attrs:[ id; ("error", Json.Str (Printexc.to_string e)) ];
+    Printexc.raise_with_backtrace e bt
+
 (* The cold solve of one request.  A request carrying [inject:"crash"]
    raises here, inside its batch slot, exactly like a real bug in the
    partitioning engine would. *)
 let run_cold p ~cache_tag =
   let req = p.p_req in
   let t0 = now () in
-  let sp = Recorder.span_begin "serve.request" in
+  in_span "serve.request" p @@ fun () ->
   (match req.Protocol.inject with
   | Some "crash" -> failwith "injected crash"
   | Some other -> failwith (Printf.sprintf "unknown inject %S" other)
@@ -228,54 +232,40 @@ let run_cold p ~cache_tag =
   let r = Solve.run p.p_config p.p_hg p.p_device in
   let wall_ms = (now () -. t0) *. 1000.0 in
   Metrics.observe h_cold wall_ms;
-  let outcome =
-    success_of_result p ~mode:"cold" ~cache:cache_tag ~wall_ms ~k:r.Fpart.Driver.k
+  ( success_of_result p ~mode:"cold" ~cache:cache_tag ~wall_ms ~k:r.Fpart.Driver.k
       ~assignment:r.Fpart.Driver.assignment ~feasible:r.Fpart.Driver.feasible
       ~cut:r.Fpart.Driver.cut ~total_pins:r.Fpart.Driver.total_pins
-      ~m_lower:r.Fpart.Driver.m_lower
-  in
-  Recorder.span_end sp
-    ~attrs:
-      [
-        ("id", Json.Str req.Protocol.id);
-        ("mode", Json.Str "cold");
-        ("runs", Json.Int req.Protocol.runs);
-      ];
-  outcome
+      ~m_lower:r.Fpart.Driver.m_lower,
+    [ ("mode", Json.Str "cold"); ("runs", Json.Int req.Protocol.runs) ] )
 
 let run_eco p partfile =
-  let sp = Recorder.span_begin "serve.eco" in
+  in_span "serve.eco" p @@ fun () ->
   let t0 = now () in
   let outcome =
     Eco.relegalize ~config:p.p_config ~device:p.p_device ~partfile p.p_hg
   in
-  let result, attrs =
-    match outcome with
-    | Error e -> (Error e, [ ("error", Json.Str e) ])
-    | Ok (Eco.Warm { assignment; k; cut; total_pins; m_lower; projection }) ->
-      Metrics.incr c_eco_warm;
-      let wall_ms = (now () -. t0) *. 1000.0 in
-      Metrics.observe h_warm wall_ms;
-      ( success_of_result p ~mode:"warm" ~cache:"bypass" ~wall_ms ~k ~assignment
-          ~feasible:true ~cut ~total_pins ~m_lower,
-        [
-          ("mode", Json.Str "warm");
-          ("matched", Json.Int projection.Eco.matched);
-          ("stale", Json.Int projection.Eco.stale);
-          ("filled", Json.Int projection.Eco.filled);
-          ("start_violations", Json.Int projection.Eco.start_violations);
-        ] )
-    | Ok (Eco.Cold_needed reason) -> (
-      Metrics.incr c_eco_fallback;
-      match run_cold p ~cache_tag:"bypass" with
-      | Ok s ->
-        (Ok { s with Protocol.mode = "cold-fallback" },
-         [ ("mode", Json.Str "cold-fallback"); ("reason", Json.Str reason) ])
-      | Error e -> (Error e, [ ("error", Json.Str e) ]))
-  in
-  Recorder.span_end sp
-    ~attrs:(("id", Json.Str p.p_req.Protocol.id) :: attrs);
-  result
+  match outcome with
+  | Error e -> (Error e, [ ("error", Json.Str e) ])
+  | Ok (Eco.Warm { assignment; k; cut; total_pins; m_lower; projection }) ->
+    Metrics.incr c_eco_warm;
+    let wall_ms = (now () -. t0) *. 1000.0 in
+    Metrics.observe h_warm wall_ms;
+    ( success_of_result p ~mode:"warm" ~cache:"bypass" ~wall_ms ~k ~assignment
+        ~feasible:true ~cut ~total_pins ~m_lower,
+      [
+        ("mode", Json.Str "warm");
+        ("matched", Json.Int projection.Eco.matched);
+        ("stale", Json.Int projection.Eco.stale);
+        ("filled", Json.Int projection.Eco.filled);
+        ("start_violations", Json.Int projection.Eco.start_violations);
+      ] )
+  | Ok (Eco.Cold_needed reason) -> (
+    Metrics.incr c_eco_fallback;
+    match run_cold p ~cache_tag:"bypass" with
+    | Ok s ->
+      (Ok { s with Protocol.mode = "cold-fallback" },
+       [ ("mode", Json.Str "cold-fallback"); ("reason", Json.Str reason) ])
+    | Error e -> (Error e, [ ("error", Json.Str e) ]))
 
 (* The one time limit of a request: its own [timeout_s], else the
    engine's default. *)

@@ -63,8 +63,6 @@ val served : t -> int
 
 val cache_hits : t -> int
 
-val cache_misses : t -> int
-
 val cache_entries : t -> int
 
 val cache_bytes_est : t -> int

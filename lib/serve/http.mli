@@ -10,14 +10,12 @@
 
     The client half ({!get}) is the same minimalism for the other
     direction: it is what [fpart_inspect scrape] and the CI smoke jobs
-    use, so the repo needs no curl. *)
+    use, so the repo needs no curl.
+
+    An [addr] is ["PORT"], [":PORT"] or ["HOST:PORT"] (HOST a dotted
+    quad or [localhost]); a bare port binds/connects on 127.0.0.1. *)
 
 type t
-
-(** [parse_addr s] accepts ["PORT"], [":PORT"] or ["HOST:PORT"] (HOST a
-    dotted quad or [localhost]); a bare port binds/connects on
-    127.0.0.1. *)
-val parse_addr : string -> (Unix.inet_addr * int, string) result
 
 (** [start ~addr ~handler] binds [addr] (port [0] picks a free port —
     read it back with {!port}) and serves GET requests on a background

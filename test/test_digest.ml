@@ -104,23 +104,16 @@ let test_config_digest_covers_fields () =
   let relevant =
     [
       ("delta", { d with C.delta = Some 0.8 });
-      ("sigma1", { d with C.sigma1 = 0.7 });
-      ("sigma2", { d with C.sigma2 = 0.7 });
-      ("n_small", { d with C.n_small = 16 });
       ("lambda_s", cost (fun c -> { c with Partition.Cost.lambda_s = 0.5 }));
       ("lambda_t", cost (fun c -> { c with Partition.Cost.lambda_t = 0.5 }));
       ("lambda_r", cost (fun c -> { c with Partition.Cost.lambda_r = 0.2 }));
       ("lambda_f", cost (fun c -> { c with Partition.Cost.lambda_f = 0.5 }));
-      ("eps_max_multi", { d with C.eps_max_multi = 1.1 });
-      ("eps_max_two", { d with C.eps_max_two = 1.1 });
-      ("eps_min_multi", { d with C.eps_min_multi = 0.4 });
       ("eps_min_two", { d with C.eps_min_two = 0.9 });
       ("stack_depth", { d with C.stack_depth = 5 });
       ("max_passes", { d with C.max_passes = 9 });
       ("gain_levels", { d with C.gain_levels = 3 });
       ( "bucket_discipline",
         { d with C.bucket_discipline = Gainbucket.Bucket_array.Fifo } );
-      ("scan_limit", { d with C.scan_limit = 17 });
       ("gain_mode", { d with C.gain_mode = Sanchis.Pin_gain });
       ("drift_limit", { d with C.drift_limit = Some 100 });
       ("random_initial", { d with C.random_initial = true });

@@ -113,13 +113,15 @@ let prop_map_order =
 (* Driver.run_best determinism                                        *)
 (* ------------------------------------------------------------------ *)
 
+let jobs_config jobs = { Fpart.Config.default with jobs }
+
 let test_run_best_deterministic () =
   let h = circuit 5 in
-  let base = Driver.run_best ~jobs:1 ~runs:4 h Device.xc2064 in
+  let base = Driver.run_best ~config:(jobs_config 1) ~runs:4 h Device.xc2064 in
   Alcotest.(check bool) "multi-block" true (base.Driver.k > 1);
   List.iter
     (fun jobs ->
-      let r = Driver.run_best ~jobs ~runs:4 h Device.xc2064 in
+      let r = Driver.run_best ~config:(jobs_config jobs) ~runs:4 h Device.xc2064 in
       let tag fmt = Printf.sprintf fmt jobs in
       Alcotest.(check int) (tag "k jobs=%d") base.Driver.k r.Driver.k;
       Alcotest.(check bool)
@@ -137,7 +139,9 @@ let test_run_best_deterministic () =
 let test_run_best_improves_or_ties () =
   let h = circuit 6 in
   let one = Driver.run ~config:Fpart.Config.default h Device.xc2064 in
-  let best = Driver.run_best ~jobs:test_jobs ~runs:4 h Device.xc2064 in
+  let best =
+    Driver.run_best ~config:(jobs_config test_jobs) ~runs:4 h Device.xc2064
+  in
   Alcotest.(check bool) "run_best never worse" true (best.Driver.k <= one.Driver.k);
   Alcotest.(check bool) "feasible" true best.Driver.feasible;
   if best.Driver.k = one.Driver.k then
@@ -159,7 +163,7 @@ let test_run_best_invalid () =
       ignore (Driver.run_best ~runs:0 h Device.xc2064));
   Alcotest.check_raises "jobs = 0"
     (Invalid_argument "Driver.run_best: jobs < 1") (fun () ->
-      ignore (Driver.run_best ~jobs:0 ~runs:2 h Device.xc2064))
+      ignore (Driver.run_best ~config:(jobs_config 0) ~runs:2 h Device.xc2064))
 
 let test_run_best_repeatable () =
   (* same config, same jobs: byte-identical result on repeated calls,
@@ -167,8 +171,8 @@ let test_run_best_repeatable () =
   let h = circuit ~cells:160 ~pads:24 8 in
   List.iter
     (fun jobs ->
-      let a = Driver.run_best ~jobs ~runs:3 h Device.xc2064 in
-      let b = Driver.run_best ~jobs ~runs:3 h Device.xc2064 in
+      let a = Driver.run_best ~config:(jobs_config jobs) ~runs:3 h Device.xc2064 in
+      let b = Driver.run_best ~config:(jobs_config jobs) ~runs:3 h Device.xc2064 in
       Alcotest.(check int) (Printf.sprintf "k repeatable jobs=%d" jobs)
         a.Driver.k b.Driver.k;
       Alcotest.(check (array int))
@@ -234,7 +238,7 @@ let test_counters_match_sequential () =
   let h = circuit 7 in
   let measure jobs =
     Metrics.reset ();
-    ignore (Driver.run_best ~jobs ~runs:4 h Device.xc2064);
+    ignore (Driver.run_best ~config:(jobs_config jobs) ~runs:4 h Device.xc2064);
     let c = counters_json () in
     Metrics.reset ();
     c

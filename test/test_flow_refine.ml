@@ -225,8 +225,10 @@ let test_pool_identity () =
     (fun refiner ->
       let name = Config.refiner_name refiner in
       let config = { Config.default with Config.refiner } in
-      let r1 = Driver.run_best ~config ~jobs:1 ~runs:4 hg device in
-      let rn = Driver.run_best ~config ~jobs:test_jobs ~runs:4 hg device in
+      let r1 = Driver.run_best ~config ~runs:4 hg device in
+      let rn =
+        Driver.run_best ~config:{ config with Config.jobs = test_jobs } ~runs:4 hg device
+      in
       Alcotest.(check int) (name ^ ": k") r1.Driver.k rn.Driver.k;
       Alcotest.(check int) (name ^ ": cut") r1.Driver.cut rn.Driver.cut;
       Alcotest.(check (array int))

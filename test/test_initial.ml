@@ -456,7 +456,7 @@ let test_schedule_min_io_max_free () =
       (State.pins_of st b <= State.pins_of st other)
   | None -> Alcotest.fail "expected a block");
   match
-    Fpart.Schedule.max_free_block Fpart.Config.default st ~except:2 ~s_max:57 ~t_max:64
+    Fpart.Schedule.max_free_block st ~except:2 ~s_max:57 ~t_max:64
   with
   | Some b -> Alcotest.(check bool) "valid block" true (b = 0 || b = 1)
   | None -> Alcotest.fail "expected a block"
@@ -465,12 +465,11 @@ let test_schedule_min_io_max_free () =
 
 let test_config_published_values () =
   let c = Fpart.Config.default in
-  Alcotest.(check int) "N_small" 15 c.Fpart.Config.n_small;
+  Alcotest.(check int) "N_small" 15 Fpart.Config.n_small;
   Alcotest.(check int) "D_stack" 4 c.Fpart.Config.stack_depth;
-  Alcotest.(check (float 0.0)) "sigma1" 0.5 c.Fpart.Config.sigma1;
-  Alcotest.(check (float 0.0)) "eps_max" 1.05 c.Fpart.Config.eps_max_multi;
+  Alcotest.(check (float 0.0)) "eps_max" 1.05 Fpart.Config.eps_max_multi;
   Alcotest.(check (float 0.0)) "eps_min_two" 0.95 c.Fpart.Config.eps_min_two;
-  Alcotest.(check (float 0.0)) "eps_min_multi" 0.3 c.Fpart.Config.eps_min_multi
+  Alcotest.(check (float 0.0)) "eps_min_multi" 0.3 Fpart.Config.eps_min_multi
 
 let test_config_delta_resolution () =
   let c = Fpart.Config.default in
@@ -482,13 +481,47 @@ let test_config_delta_resolution () =
   Alcotest.(check (float 0.0)) "override" 0.8 (Fpart.Config.delta_for c Device.xc2064)
 
 let test_config_free_space () =
-  let c = Fpart.Config.default in
   (* empty block: F = 0.5 + 0.5 = 1 *)
   Alcotest.(check (float 1e-9)) "empty" 1.0
-    (Fpart.Config.free_space c ~s_max:100 ~t_max:50 ~size:0 ~pins:0);
+    (Fpart.Config.free_space ~s_max:100 ~t_max:50 ~size:0 ~pins:0);
+  (* full logic, no pins: F = sigma2 = 0.5 *)
+  Alcotest.(check (float 1e-9)) "sigma2" 0.5
+    (Fpart.Config.free_space ~s_max:100 ~t_max:50 ~size:100 ~pins:0);
   (* full block: F = 0 *)
   Alcotest.(check (float 1e-9)) "full" 0.0
-    (Fpart.Config.free_space c ~s_max:100 ~t_max:50 ~size:100 ~pins:50)
+    (Fpart.Config.free_space ~s_max:100 ~t_max:50 ~size:100 ~pins:50)
+
+(* F lies in [0, 1] and never grows when a block gains logic or pins. *)
+let prop_free_space_bounded_monotone =
+  QCheck.Test.make ~count:200 ~name:"free space bounded and non-increasing"
+    QCheck.(quad (int_range 1 2000) (int_range 1 200) (int_range 0 2000) (int_range 0 200))
+    (fun (s_max, t_max, size, pins) ->
+      let size = min size s_max and pins = min pins t_max in
+      let f = Fpart.Config.free_space ~s_max ~t_max in
+      let here = f ~size ~pins in
+      here >= 0.0 && here <= 1.0
+      && (size = s_max || f ~size:(size + 1) ~pins <= here)
+      && (pins = t_max || f ~size ~pins:(pins + 1) <= here))
+
+(* [max_free_block] is the first non-[except] block of largest F. *)
+let prop_max_free_block_is_first_argmax =
+  QCheck.Test.make ~count:40 ~name:"max free block is the first largest F"
+    QCheck.(quad (int_range 20 120) (int_range 2 6) (int_range 0 5) (int_range 0 10_000))
+    (fun (cells, k, except, seed) ->
+      let h = circuit ~cells seed in
+      let st = State.create h ~k ~assign:(fun v -> (v * 7 + seed) mod k) in
+      let s_max = 80 and t_max = 64 in
+      let free i =
+        Fpart.Config.free_space ~s_max ~t_max ~size:(State.size_of st i)
+          ~pins:(State.pins_of st i)
+      in
+      match Fpart.Schedule.max_free_block st ~except ~s_max ~t_max with
+      | None -> false
+      | Some b ->
+        b <> except
+        && List.for_all
+             (fun i -> i = except || free i < free b || (i >= b && free i <= free b))
+             (List.init k Fun.id))
 
 let prop_seed_merge_within_capacity =
   QCheck.Test.make ~count:30 ~name:"seed merge P never exceeds s_max"
@@ -553,5 +586,7 @@ let () =
             prop_bipartition_partitions;
             prop_ratio_cut_matches_reference;
             prop_seed_merge_matches_reference;
+            prop_free_space_bounded_monotone;
+            prop_max_free_block_is_first_argmax;
           ] );
     ]

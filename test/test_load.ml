@@ -79,6 +79,32 @@ let test_errors_pass_through () =
       | Ok _, _ -> Alcotest.fail "BLIF text accepted as XNF"
       | Error _, Ok _ -> Alcotest.fail "loader and XNF parser disagree")
 
+(* A path the reader cannot read — a directory, under every extension,
+   or a missing file — is an [Error] with the system's reason, never an
+   escaping [Sys_error]. *)
+let test_unreadable_paths () =
+  let dir = Filename.temp_dir "fpart_load" "" in
+  let subdirs =
+    List.map (fun ext -> Filename.concat dir ("d" ^ ext)) [ ".v"; ".xnf"; ".blif" ]
+  in
+  let expect label reason = function
+    | Error e -> Alcotest.(check string) label reason e
+    | Ok _ -> Alcotest.failf "%s: read succeeded" label
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun d -> if Sys.file_exists d then Sys.rmdir d) subdirs;
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun path ->
+          Sys.mkdir path 0o755;
+          expect path "Is a directory" (Load.file path))
+        subdirs;
+      expect "partfile directory" "Is a directory" (Netlist.Partfile.parse_file dir);
+      expect "missing file" "No such file or directory"
+        (Load.file (Filename.concat dir "missing.blif")))
+
 let gen_ok spec ~seed =
   match Load.generate spec ~seed with
   | Ok (name, h) -> (name, h)
@@ -142,6 +168,7 @@ let () =
           Alcotest.test_case ".v read as Verilog" `Quick test_verilog_by_extension;
           Alcotest.test_case "other extensions read as BLIF" `Quick test_blif_otherwise;
           Alcotest.test_case "parser errors pass through" `Quick test_errors_pass_through;
+          Alcotest.test_case "unreadable paths are errors" `Quick test_unreadable_paths;
         ] );
       ( "generate",
         [

@@ -1082,10 +1082,10 @@ let test_canonical_digests_pinned () =
     "9a5dd5597aed719691dc235915b295d3"
     (Hypergraph.Hgraph.digest h);
   Alcotest.(check string) "config digest pinned"
-    "9a5d0dc361e643a8bfd70152eb37f00b"
+    "0869c00def6fef7d961dab031af14ef8"
     (Fpart.Config.digest Fpart.Config.default);
   Alcotest.(check string) "config digest with extra pinned"
-    "ba10f7046a6408668eb4f6bb2bd2573a"
+    "4e6124aa1b85afad61e159d8e47b0af5"
     (Fpart.Config.digest ~extra:"algo=fm" Fpart.Config.default)
 
 let test_regress_groups_by_workload () =

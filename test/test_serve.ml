@@ -177,6 +177,33 @@ let test_unknown_refiner_rejected () =
           (success after).Protocol.feasible
       | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs))
 
+(* A server-side path that names a directory is a typed error for the
+   netlist and for the ECO delta alike, and the batch goes on. *)
+let test_directory_paths_rejected () =
+  let dir = Filename.current_dir_name in
+  let eco =
+    { Protocol.eco_delta = Protocol.Src_path dir; eco_partfile = Protocol.Src_text "" }
+  in
+  with_engine (fun e ->
+      match
+        Engine.handle_requests e
+          [
+            request ~id:"dir" ~netlist:(Protocol.Path dir) ();
+            request ~id:"eco" ~eco ();
+            request ~id:"after" ();
+          ]
+      with
+      | [ netlist; delta; after ] ->
+        Alcotest.(check (result reject string)) "netlist path"
+          (Error (Printf.sprintf "cannot parse %s: Is a directory" dir))
+          netlist.Protocol.outcome;
+        Alcotest.(check (result reject string)) "eco delta path"
+          (Error (Printf.sprintf "eco delta %s: Is a directory" dir))
+          delta.Protocol.outcome;
+        Alcotest.(check bool) "next request still answered" true
+          (success after).Protocol.feasible
+      | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs))
+
 let test_cache_hit_bit_identical () =
   with_engine (fun e ->
       let cold = success (List.hd (Engine.handle_requests e [ request () ])) in
@@ -570,6 +597,86 @@ let test_access_log_and_request_stamp () =
       Alcotest.(check bool) "request dup's spans carry its rid" true
         (List.length (spans_of (field "rid" dup)) >= 1))
 
+(* A crashed request still closes its [serve.request] span, with the
+   request's id and the error, before the batch slot reports it. *)
+let test_crashed_request_keeps_span () =
+  Fpart_obs.Metrics.set_enabled true;
+  let sink, recorded = Sink.memory () in
+  Sink.set sink;
+  let e = Engine.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.shutdown e;
+      Sink.set Sink.null;
+      Fpart_obs.Recorder.reset ())
+    (fun () ->
+      ignore (Engine.handle_requests e [ request ~id:"boom" ~inject:"crash" () ]);
+      let is_request_span j =
+        Json.member "type" j = Some (Json.Str "span")
+        && Json.member "name" j = Some (Json.Str "serve.request")
+      in
+      match List.filter is_request_span (recorded ()) with
+      | [ Json.Obj fields ] ->
+        Alcotest.(check bool) "carries the request id" true
+          (List.mem ("id", Json.Str "boom") fields);
+        Alcotest.(check bool) "carries the error" true
+          (List.assoc_opt "error" fields
+          = Some (Json.Str (Printexc.to_string (Failure "injected crash"))))
+      | spans ->
+        Alcotest.failf "expected one serve.request span, got %d" (List.length spans))
+
+(* A crash inside an ECO's cold fallback closes both the [serve.eco]
+   span and the [serve.request] span it opened, each with the request's
+   id and the error.  The partfile names no node of the circuit, so the
+   ECO falls back to a cold solve, where [inject:"crash"] raises. *)
+let test_crashed_eco_keeps_spans () =
+  let foreign =
+    let b = Hg.Builder.create () in
+    let x = Hg.Builder.add_cell b ~name:"foreign_x" ~size:1 in
+    let y = Hg.Builder.add_cell b ~name:"foreign_y" ~size:1 in
+    ignore (Hg.Builder.add_net b ~name:"foreign_n" [ x; y ]);
+    Hg.Builder.freeze b
+  in
+  let partfile =
+    Netlist.Partfile.of_assignment foreign ~circuit:"foreign" ~delta:0.9
+      ~block_devices:[| "XC3042" |] ~assignment:[| 0; 0 |]
+  in
+  let eco =
+    {
+      Protocol.eco_delta = Protocol.Src_text "";
+      eco_partfile = Protocol.Src_text (Netlist.Partfile.to_string partfile);
+    }
+  in
+  Fpart_obs.Metrics.set_enabled true;
+  let sink, recorded = Sink.memory () in
+  Sink.set sink;
+  let e = Engine.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.shutdown e;
+      Sink.set Sink.null;
+      Fpart_obs.Recorder.reset ())
+    (fun () ->
+      (match Engine.handle_requests e [ request ~id:"boom" ~inject:"crash" ~eco () ] with
+      | [ { Protocol.outcome = Error _; _ } ] -> ()
+      | [ _ ] -> Alcotest.fail "crashed ECO answered a partition"
+      | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+      let error = Json.Str (Printexc.to_string (Failure "injected crash")) in
+      List.iter
+        (fun name ->
+          let is_span j =
+            Json.member "type" j = Some (Json.Str "span")
+            && Json.member "name" j = Some (Json.Str name)
+          in
+          match List.filter is_span (recorded ()) with
+          | [ Json.Obj fields ] ->
+            Alcotest.(check bool) (name ^ " carries the request id") true
+              (List.mem ("id", Json.Str "boom") fields);
+            Alcotest.(check bool) (name ^ " carries the error") true
+              (List.assoc_opt "error" fields = Some error)
+          | spans -> Alcotest.failf "expected one %s span, got %d" name (List.length spans))
+        [ "serve.eco"; "serve.request" ])
+
 let () =
   Alcotest.run "serve"
     [
@@ -586,6 +693,8 @@ let () =
             test_cache_hit_bit_identical;
           Alcotest.test_case "all-crash batch then recovery" `Quick
             test_all_crash_batch_then_recovery;
+          Alcotest.test_case "directory paths are errors" `Quick
+            test_directory_paths_rejected;
           Alcotest.test_case "unknown refiner is an error" `Quick
             test_unknown_refiner_rejected;
           Alcotest.test_case "request time limit" `Quick test_request_time_limit;
@@ -605,6 +714,10 @@ let () =
             test_cache_warning_fires_once;
           Alcotest.test_case "access log and request stamp agree" `Quick
             test_access_log_and_request_stamp;
+          Alcotest.test_case "crashed request keeps its span" `Quick
+            test_crashed_request_keeps_span;
+          Alcotest.test_case "crashed ECO keeps its spans" `Quick
+            test_crashed_eco_keeps_spans;
           Alcotest.test_case "warm start on a small edit" `Quick
             test_eco_warm_beats_cold_via_engine;
         ] );
