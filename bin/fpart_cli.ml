@@ -22,47 +22,20 @@ let load_circuit input generate seed =
 
 type algo = Algo_fpart | Algo_kwayx | Algo_fbb_mw
 
-type log_level = Quiet | Info | Debug
-
-(* Observability wiring: --trace/--stats/--log-level all enable the
-   Fpart_obs layer; the sinks compose (JSONL file + pretty stderr).
-   Info shows the algorithm narrative (trace events), debug adds the
-   span records. *)
-let setup_obs ~trace ~trace_format ~stats ~log_level =
+(* Observability wiring: --trace records into a file (through the
+   setup the other binaries share) and --stats alone turns the metrics
+   on without a record stream. *)
+let setup_obs ~trace ~trace_format ~stats =
   (* the getrusage source backs --stats gc reporting and --ledger
      resource peaks even when the recorder stays off, so install it
      unconditionally *)
   Obs_setup.install_resource ();
-  let obs_on = stats || trace <> None || log_level <> Quiet in
-  if obs_on then begin
+  if stats then begin
     Obs_setup.install_clock ();
     Fpart_obs.Metrics.set_enabled true;
-    Fpart_obs.Resource.set_enabled true;
-    let sinks =
-      match trace with
-      | Some path -> (
-        try [ Obs_setup.file_sink trace_format (open_out path) ]
-        with Sys_error msg ->
-          prerr_endline ("fpart: cannot open trace file: " ^ msg);
-          exit 1)
-      | None -> []
-    in
-    let sinks =
-      match log_level with
-      | Quiet -> sinks
-      | Debug -> Fpart_obs.Sink.pretty Format.err_formatter :: sinks
-      | Info ->
-        Fpart_obs.Sink.filtered
-          ~keep:(fun j ->
-            Fpart_obs.Json.member "type" j = Some (Fpart_obs.Json.Str "trace"))
-          (Fpart_obs.Sink.pretty Format.err_formatter)
-        :: sinks
-    in
-    match sinks with
-    | [] -> () (* --stats alone: metrics on, no record stream *)
-    | [ s ] -> Fpart_obs.Sink.set s
-    | sinks -> Fpart_obs.Sink.set (Fpart_obs.Sink.tee sinks)
-  end
+    Fpart_obs.Resource.set_enabled true
+  end;
+  Obs_setup.setup_trace ~prog:"fpart" trace trace_format
 
 (* {2 Run ledger}
 
@@ -121,8 +94,11 @@ let append_ledger path ~label ~jobs ~config_digest ~netlist_digest ~rows =
     }
   in
   match Fpart_obs.Ledger.append path entry with
-  | Ok () -> Format.printf "run recorded in %s@." path
-  | Error e -> Printf.eprintf "fpart: cannot append to ledger %s: %s\n" path e
+  | Ok () -> Ok (Format.printf "run recorded in %s@." path)
+  | Error e ->
+    Error
+      (Printf.sprintf "cannot append to ledger %s: %s" path
+         (Netlist.Textfile.reason ~path e))
 
 let algo_conv =
   let parse = function
@@ -197,8 +173,8 @@ let check_mode path hg device delta =
 
 let main input generate device_name delta algo engine seed runs cluster jobs
     selfcheck refiner output save check board dot trace trace_format
-    stats log_level trace_log ledger =
-  setup_obs ~trace ~trace_format ~stats ~log_level;
+    stats trace_log ledger =
+  setup_obs ~trace ~trace_format ~stats;
   let result =
     match Device.find device_name with
     | None ->
@@ -281,7 +257,7 @@ let main input generate device_name delta algo engine seed runs cluster jobs
             Ok (Format.printf "partition written to %s@." path)
           | None -> Ok ()
         in
-        (match ledger with
+        match ledger with
         | Some path ->
           let prefix =
             Printf.sprintf "run/%s-%s-%s" name device.Device.dev_name
@@ -306,8 +282,7 @@ let main input generate device_name delta algo engine seed runs cluster jobs
                 row "devices" (float_of_int k) "blocks" false;
                 row "cut" (float_of_int (Partition.State.cut_size st)) "nets" false;
               ]
-        | None -> ());
-        Ok ()))
+        | None -> Ok ()))
   in
   if stats then begin
     Format.eprintf "%a" Fpart_obs.Metrics.pp_report ();
@@ -457,27 +432,11 @@ let dot =
     & info [ "dot" ] ~docv:"FILE"
         ~doc:"Write a Graphviz rendering of the circuit coloured by block to FILE.")
 
-let trace =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Stream observability records (recorder spans, trace events, pass/schedule telemetry) to FILE (see --trace-format).")
-
 let stats =
   Arg.(
     value & flag
     & info [ "stats" ]
         ~doc:"Print the metrics report (counters, span histograms) to stderr at exit.")
-
-let log_level =
-  Arg.(
-    value
-    & opt (enum [ ("quiet", Quiet); ("info", Info); ("debug", Debug) ]) Quiet
-    & info [ "log-level" ] ~docv:"LEVEL"
-        ~doc:
-          "Narrate the run on stderr: $(b,quiet) (default), $(b,info) (algorithm trace events) or $(b,debug) (everything, including spans).")
 
 let trace_log =
   Arg.(
@@ -503,7 +462,7 @@ let cmd =
     Term.(
       const main $ input $ generate $ device $ delta $ algo $ engine $ seed
       $ runs $ cluster $ jobs $ selfcheck $ refiner $ output
-      $ save $ check $ board $ dot $ trace $ Obs_setup.trace_format_arg $ stats
-      $ log_level $ trace_log $ ledger)
+      $ save $ check $ board $ dot $ Obs_setup.trace_arg $ Obs_setup.trace_format_arg $ stats
+      $ trace_log $ ledger)
 
 let () = exit (Cmd.eval' cmd)

@@ -460,7 +460,7 @@ let main rounds max_cells seed trace trace_format =
     2
   end
   else begin
-    Obs_setup.setup_trace trace trace_format;
+    Obs_setup.setup_trace ~prog:"fpart_fuzz" trace trace_format;
     let divergences = ref 0 in
     for i = 0 to rounds - 1 do
       let round_seed = seed + i in

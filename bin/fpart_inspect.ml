@@ -2,9 +2,9 @@
    recorded trace (JSONL or chrome export), structural validation for
    CI, a two-run diff for A/B-ing flags like --jobs or --refiner,
    plus subcommands over the other artifact kinds: [mem] (allocation
-   view of a trace) and [trend]/[regress] (run-history ledger
-   statistics).  All analysis lives in Fpart_obs.Inspect; this file is
-   argument plumbing. *)
+   view of a trace), [trend]/[regress] (run-history ledger statistics)
+   and [scrape] (one /metrics exposition page).  All analysis lives in
+   Fpart_obs.Inspect; this file is argument plumbing. *)
 
 module Inspect = Fpart_obs.Inspect
 module Ledger = Fpart_obs.Ledger
@@ -144,20 +144,22 @@ let mem_cmd =
 (* {2 trend / regress: ledger statistics}
 
    Exit codes: 0 ok, 1 regression found or corrupt/mixed-schema ledger
-   (the history cannot be trusted, so a gate must fail), 2 unreadable
-   file. *)
+   (the history cannot be trusted, so a gate must fail), 2 missing or
+   unreadable file (a directory, say). *)
 
 let load_ledger path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "fpart_inspect: %s: no such file\n" path;
-    Some 2
-  end
+  let unreadable reason =
+    Printf.eprintf "fpart_inspect: %s: %s\n" path reason;
+    Error 2
+  in
+  if not (Sys.file_exists path) then unreadable "no such file"
+  else if Sys.is_directory path then unreadable "is a directory"
   else
     match Ledger.load path with
-    | Ok _ -> None
+    | Ok entries -> Ok entries
     | Error e ->
       Printf.eprintf "fpart_inspect: %s: %s\n" path e;
-      Some 1
+      Error 1
 
 let ledger_arg =
   Arg.(
@@ -171,9 +173,8 @@ let ledger_arg =
 
 let trend_main path =
   match load_ledger path with
-  | Some rc -> rc
-  | None ->
-    let entries = Result.get_ok (Ledger.load path) in
+  | Error rc -> rc
+  | Ok entries ->
     Inspect.pp_trend Format.std_formatter entries;
     Format.pp_print_flush Format.std_formatter ();
     0
@@ -202,9 +203,8 @@ let mad_k_arg =
 
 let regress_main path min_delta mad_k =
   match load_ledger path with
-  | Some rc -> rc
-  | None ->
-    let entries = Result.get_ok (Ledger.load path) in
+  | Error rc -> rc
+  | Ok entries ->
     let verdicts = Inspect.regress ~min_delta ~mad_k entries in
     Inspect.pp_regress Format.std_formatter verdicts;
     Format.pp_print_flush Format.std_formatter ();
@@ -219,12 +219,11 @@ let regress_cmd =
     (Cmd.info "regress" ~doc)
     Term.(const regress_main $ ledger_arg $ min_delta_arg $ mad_k_arg)
 
-(* {2 scrape / live: exposition consumers}
+(* {2 scrape: exposition consumer}
 
    [scrape] fetches one /metrics page (or reads a --metrics-out file),
-   strict-parses it and prints the compact table; [live] polls an
-   address and renders interval deltas.  Exit codes: 0 ok, 1 invalid
-   exposition, 2 unreachable/unreadable source. *)
+   strict-parses it and prints the compact table.  Exit codes: 0 ok,
+   1 invalid exposition, 2 unreachable/unreadable source. *)
 
 let fetch_page source =
   if Sys.file_exists source then Netlist.Textfile.read source
@@ -301,70 +300,11 @@ let scrape_cmd =
                 "Print the validated page verbatim instead of the table (for \
                  diffing two scrapes)."))
 
-let live_main addr interval frames no_clear =
-  let rec loop prev t_prev n =
-    match Serve.Http.get ~addr "/metrics" with
-    | Error e ->
-      Printf.eprintf "fpart_inspect: %s: %s\n" addr e;
-      2
-    | Ok text -> (
-      match parse_page addr text with
-      | Error e ->
-        prerr_endline ("fpart_inspect: " ^ e);
-        1
-      | Ok cur ->
-        let t_now = Unix.gettimeofday () in
-        let dt_s = match prev with [] -> interval | _ -> t_now -. t_prev in
-        if not no_clear then print_string "\027[2J\027[H";
-        Inspect.pp_live_header Format.std_formatter ();
-        Inspect.pp_live_row Format.std_formatter
-          (Inspect.live_stats ~prev ~cur ~dt_s);
-        Format.pp_print_flush Format.std_formatter ();
-        if frames > 0 && n + 1 >= frames then 0
-        else begin
-          Unix.sleepf interval;
-          loop cur t_now (n + 1)
-        end)
-  in
-  loop [] (Unix.gettimeofday ()) 0
-
-let live_cmd =
-  let doc =
-    "poll a daemon's $(b,/metrics) endpoint and render a one-row terminal \
-     dashboard per interval: request and error rates, interval cold/warm \
-     latency quantiles, cache hit ratio and size, RSS and heap"
-  in
-  Cmd.v
-    (Cmd.info "live" ~doc)
-    Term.(
-      const live_main
-      $ Arg.(
-          required
-          & pos 0 (some string) None
-          & info [] ~docv:"ADDR"
-              ~doc:"Metrics address ($(b,PORT) or $(b,HOST:PORT)).")
-      $ Arg.(
-          value
-          & opt float 2.0
-          & info [ "interval" ] ~docv:"SECONDS"
-              ~doc:"Seconds between scrapes (default 2).")
-      $ Arg.(
-          value
-          & opt int 0
-          & info [ "frames" ] ~docv:"N"
-              ~doc:"Stop after N frames (default 0: poll until interrupted).")
-      $ Arg.(
-          value & flag
-          & info [ "no-clear" ]
-              ~doc:
-                "Do not clear the screen between frames (append rows; for \
-                 logs and tests)."))
-
 let doc = "analyze fpart observability traces and run ledgers offline"
 
 let group =
   Cmd.group ~default:analyze_term (Cmd.info "fpart_inspect" ~doc)
-    [ mem_cmd; trend_cmd; regress_cmd; scrape_cmd; live_cmd ]
+    [ mem_cmd; trend_cmd; regress_cmd; scrape_cmd ]
 
 let analyze_cmd = Cmd.v (Cmd.info "fpart_inspect" ~doc) analyze_term
 
@@ -372,7 +312,7 @@ let analyze_cmd = Cmd.v (Cmd.info "fpart_inspect" ~doc) analyze_term
    working; Cmd.group would reject a bare first positional as an
    unknown command, so route those straight to the analyzer. *)
 let () =
-  let subcommand = [ "mem"; "trend"; "regress"; "scrape"; "live"; "help" ] in
+  let subcommand = [ "mem"; "trend"; "regress"; "scrape"; "help" ] in
   let bare_positional =
     Array.length Sys.argv > 1
     &&

@@ -38,24 +38,31 @@ let append_ledger path engine ~label ~jobs =
     }
   in
   match Fpart_obs.Ledger.append path entry with
-  | Ok () -> ()
-  | Error e -> Printf.eprintf "fpart_serve: cannot append to ledger %s: %s\n" path e
+  | Ok () -> 0
+  | Error e ->
+    Printf.eprintf "fpart_serve: cannot append to ledger %s: %s\n" path
+      (Netlist.Textfile.reason ~path e);
+    1
+
+(* The session's exit code once its requests are answered: a ledger
+   record that could not be written fails the run. *)
+let finish_session engine ledger ~label ~jobs =
+  match ledger with
+  | Some l -> append_ledger l engine ~label ~jobs
+  | None -> 0
 
 let batch_mode engine path ledger jobs =
   let lines =
-    if path = "-" then read_lines stdin
-    else begin
-      let ic = open_in path in
-      let lines = read_lines ic in
-      close_in ic;
-      lines
-    end
+    if path = "-" then Ok (read_lines stdin)
+    else Result.map (String.split_on_char '\n') (Netlist.Textfile.read path)
   in
-  let _written = Serve.Server.run_batch engine lines stdout in
-  Option.iter
-    (fun l -> append_ledger l engine ~label:("batch " ^ path) ~jobs)
-    ledger;
-  0
+  match lines with
+  | Error reason ->
+    Printf.eprintf "fpart_serve: cannot read batch script %s: %s\n" path reason;
+    1
+  | Ok lines ->
+    let _written = Serve.Server.run_batch engine lines stdout in
+    finish_session engine ledger ~label:("batch " ^ path) ~jobs
 
 (* Accept loop: connections are served one at a time (the engine owns
    the domain pool; concurrency lives inside a batch, not across
@@ -100,12 +107,10 @@ let socket_mode engine path ledger jobs =
   done;
   (try Unix.close sock with Unix.Unix_error _ -> ());
   if Sys.file_exists path then Sys.remove path;
-  Option.iter
-    (fun l -> append_ledger l engine ~label:("socket " ^ path) ~jobs)
-    ledger;
+  let code = finish_session engine ledger ~label:("socket " ^ path) ~jobs in
   Printf.eprintf "fpart_serve: shut down cleanly (%d request(s) served)\n%!"
     (Serve.Engine.served engine);
-  0
+  code
 
 (* Client pump for scripts and CI: send every stdin line, then read
    responses until the server closes the connection.  Always appends a
@@ -213,7 +218,7 @@ let main batch socket client jobs timeout_s ledger trace trace_format stats
   Obs_setup.install_clock ();
   Fpart_obs.Metrics.set_enabled true;
   Fpart_obs.Resource.set_enabled true;
-  Obs_setup.setup_trace trace trace_format;
+  Obs_setup.setup_trace ~prog:"fpart_serve" trace trace_format;
   let result =
     match (batch, socket, client) with
     | _, _, Some path ->

@@ -1,5 +1,6 @@
 (* Shared by the binaries: the monotonic clock source, the
-   --trace-format plumbing and the range-checked option converters. *)
+   --trace/--trace-format plumbing and the range-checked option
+   converters. *)
 
 module Sink = Fpart_obs.Sink
 
@@ -32,22 +33,19 @@ let install_resource () =
 
 type trace_format = Jsonl | Chrome
 
-let file_sink format oc =
-  match format with Jsonl -> Sink.jsonl oc | Chrome -> Sink.chrome oc
-
-(* Shared --trace wiring for the binaries whose only observability
-   option is a trace file (fpart_fuzz, run_experiments); fpart_cli
-   composes its own sinks with --stats/--log-level. *)
+(* The --trace wiring of every binary: the option, and the setup that
+   turns the recorder and resource sampling on and streams into FILE.
+   [prog] names the binary in the error line. *)
 let trace_arg =
   Cmdliner.Arg.(
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record observability records (recorder spans, trace events, \
-           pass/schedule telemetry) to FILE (see --trace-format).")
+          "Record observability records (recorder spans carrying their \
+           outcomes, plus per-pass telemetry) to FILE (see --trace-format).")
 
-let setup_trace trace format =
+let setup_trace ~prog trace format =
   match trace with
   | None -> ()
   | Some path -> (
@@ -55,9 +53,11 @@ let setup_trace trace format =
     install_resource ();
     Fpart_obs.Metrics.set_enabled true;
     Fpart_obs.Resource.set_enabled true;
-    try Fpart_obs.Sink.set (file_sink format (open_out path))
+    try
+      let oc = open_out path in
+      Sink.set (match format with Jsonl -> Sink.jsonl oc | Chrome -> Sink.chrome oc)
     with Sys_error msg ->
-      prerr_endline ("cannot open trace file: " ^ msg);
+      prerr_endline (prog ^ ": cannot open trace file: " ^ msg);
       exit 1)
 
 let finish_trace () = Fpart_obs.Sink.close_current ()

@@ -28,7 +28,7 @@ let artifacts =
 let names = String.concat ", " (List.map fst artifacts)
 
 let run jobs engine refiner trace trace_format selected =
-  Obs_setup.setup_trace trace trace_format;
+  Obs_setup.setup_trace ~prog:"run_experiments" trace trace_format;
   let progress msg =
     prerr_endline ("# " ^ msg);
     flush stderr

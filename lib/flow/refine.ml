@@ -132,7 +132,6 @@ let border st mem v =
 
 let refine_pair cfg st ~a ~b ~lower ~upper ~eval =
   Obs.incr c_pairs;
-  let telemetry = Obs.enabled () in
   let sp = Recorder.span_begin "flow.extract" in
   let cor = extract cfg st ~a ~b ~lower ~upper in
   let corridor_nodes = Array.length cor.nodes in
@@ -182,29 +181,26 @@ let refine_pair cfg st ~a ~b ~lower ~upper ~eval =
       && ((cmp < 0 && cut_after <= cut_before) || (cmp = 0 && cut_after < cut_before))
     in
     if not accept then Snapshot.restore snap st;
-    Recorder.span_end sp
-      ~attrs:
+    (* the pair's outcome: the cut and value it leaves behind *)
+    let outcome =
+      if Obs.enabled () then
         [
-          ("a", Json.Int a);
-          ("b", Json.Int b);
-          ("moves", Json.Int !moves);
-          ("applied", Json.Bool accept);
-        ];
-    if telemetry then
-      Recorder.event
-        [
-          ("type", Json.Str "flow_pair");
-          ("a", Json.Int a);
-          ("b", Json.Int b);
-          ("corridor", Json.Int corridor_nodes);
-          ("flow", Json.Int flow);
-          ("moves", Json.Int !moves);
-          ("applied", Json.Bool accept);
           ("cut_before", Json.Int cut_before);
           ("cut_after", Json.Int (if accept then cut_after else cut_before));
           ( "value_after",
             Cost.value_to_json (if accept then value_after else value_before) );
-        ];
+        ]
+      else []
+    in
+    Recorder.span_end sp
+      ~attrs:
+        ([
+           ("a", Json.Int a);
+           ("b", Json.Int b);
+           ("moves", Json.Int !moves);
+           ("applied", Json.Bool accept);
+         ]
+        @ outcome);
     if accept then begin
       Obs.incr c_applied;
       Obs.add c_moves !moves;

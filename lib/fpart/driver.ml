@@ -135,20 +135,16 @@ let run_flat ?pool config hg device =
                 ~kind:Trace.Final_pairs
             done;
           Array.blit (State.assignment st) 0 assign 0 n;
-          Trace.record trace
-            (Trace.Committed
-               {
-                 iteration;
-                 block = j;
-                 size = State.size_of st j;
-                 pins = State.pins_of st j;
-               });
+          let size = State.size_of st j and pins = State.pins_of st j in
+          Trace.record trace (Trace.Committed { iteration; block = j; size; pins });
           Recorder.span_end sp_it
             ~attrs:
               [
                 ("iteration", Json.Int iteration);
                 ("method", Json.Str (Bipartition.method_name method_used));
                 ("blocks", Json.Int blocks_now);
+                ("size", Json.Int size);
+                ("pins", Json.Int pins);
               ];
           match Cost.classify ctx st with
           | Cost.Feasible -> finish ~k:blocks_now ~feasible:true ~iterations:iteration

@@ -51,8 +51,8 @@ let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
   let cut_before = if telemetry then State.cut_size st else 0 in
   let value_before = if telemetry then Some (eval st) else None in
   (* The recorder span parents this Improve() call's [pass] records
-     (Sanchis emits them under the open span) and its own [schedule]
-     record below. *)
+     (Sanchis emits them under the open span) and carries the call's
+     outcome as attrs. *)
   let sp = Recorder.span_begin "improve.pass" in
   let refiner = t.cfg.Config.refiner in
   let report = Sanchis.improve st ~spec ~config:(Config.sanchis t.cfg) ~eval in
@@ -90,27 +90,18 @@ let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
         ("flow_moves", Json.Int f.Flow.Refine.moves_applied);
       ]
   in
-  if telemetry then
-    Recorder.event
-      ([
-         ("type", Json.Str "schedule");
-         ("iteration", Json.Int iteration);
-         ("step", Json.Str (Trace.kind_name kind));
-         ("refiner", Json.Str (Config.refiner_name refiner));
-         ("blocks", Json.List (Array.to_list (Array.map (fun b -> Json.Int b) active)));
-         ("passes", Json.Int passes);
-         ("moves", Json.Int moves);
-         ("moves_retained", Json.Int moves_retained);
-         ("restarts", Json.Int restarts);
-         ("cut_before", Json.Int cut_before);
-         ("cut_after", Json.Int (State.cut_size st));
-         ( "value_before",
-           match value_before with
-           | Some v -> Cost.value_to_json v
-           | None -> Json.Null );
-         ("value_after", Cost.value_to_json value_after);
-       ]
-      @ flow_attrs);
+  (* the cut and value trajectory is built only for a recorded span *)
+  let outcome_attrs =
+    match value_before with
+    | Some v ->
+      [
+        ("cut_before", Json.Int cut_before);
+        ("cut_after", Json.Int (State.cut_size st));
+        ("value_before", Cost.value_to_json v);
+        ("value_after", Cost.value_to_json value_after);
+      ]
+    | _ -> []
+  in
   Recorder.span_end sp
     ~attrs:
       ([
@@ -123,7 +114,7 @@ let run t st ~iteration ~remainder ~active ~allow_violation ~two_block ~kind =
          ("moves_retained", Json.Int moves_retained);
          ("restarts", Json.Int restarts);
        ]
-      @ flow_attrs);
+      @ flow_attrs @ outcome_attrs);
   Trace.record t.trace
     (Trace.Improve
        {

@@ -10,7 +10,14 @@
     - once the theoretical minimum [M] has been reached
       ([allow_violation = false]), the upper bound tightens to [S_MAX]
       (no size-violating moves for non-remainder blocks);
-    - I/O violations are never blocked (no pin constraint on moves). *)
+    - I/O violations are never blocked (no pin constraint on moves).
+
+    Each call appends one [Trace.Improve] event and is one
+    [improve.pass] recorder span.  The span carries [iteration], [kind],
+    [refiner], [blocks], [passes], [moves], [moves_retained] and
+    [restarts] (plus [flow_*] counts after a hybrid escalation), and,
+    when telemetry is on, [cut_before]/[cut_after] and
+    [value_before]/[value_after]. *)
 
 type t = {
   cfg : Config.t;

@@ -32,60 +32,7 @@ let kind_name = function
   | Max_free -> "max_free"
   | Final_pairs -> "final_pairs"
 
-module Json = Fpart_obs.Json
-
-let value_to_json = Partition.Cost.value_to_json
-
-let to_fields e =
-  let trace event fields =
-    ("type", Json.Str "trace") :: ("event", Json.Str event) :: fields
-  in
-  match e with
-  | Bipartition { iteration; p_block; r_block; method_used } ->
-    trace "bipartition"
-      [
-        ("iteration", Json.Int iteration);
-        ("p_block", Json.Int p_block);
-        ("r_block", Json.Int r_block);
-        ("method", Json.Str method_used);
-      ]
-  | Improve { iteration; kind; blocks; value; passes; moves; restarts } ->
-    trace "improve"
-      [
-        ("iteration", Json.Int iteration);
-        ("kind", Json.Str (kind_name kind));
-        ("blocks", Json.List (List.map (fun b -> Json.Int b) blocks));
-        ("value", value_to_json value);
-        ("passes", Json.Int passes);
-        ("moves", Json.Int moves);
-        ("restarts", Json.Int restarts);
-      ]
-  | Committed { iteration; block; size; pins } ->
-    trace "committed"
-      [
-        ("iteration", Json.Int iteration);
-        ("block", Json.Int block);
-        ("size", Json.Int size);
-        ("pins", Json.Int pins);
-      ]
-  | Done { iterations; k; feasible } ->
-    trace "done"
-      [
-        ("iterations", Json.Int iterations);
-        ("k", Json.Int k);
-        ("feasible", Json.Bool feasible);
-      ]
-
-let to_json e = Json.Obj (to_fields e)
-
-(* Emission goes through {!Fpart_obs.Recorder.event} so each trace
-   record is annotated with (and buffered alongside) the span it was
-   recorded under — keeping trace/span interleaving deterministic
-   across [--jobs]. *)
-let record t e =
-  t.rev_events <- e :: t.rev_events;
-  if Fpart_obs.Metrics.enabled () then Fpart_obs.Recorder.event (to_fields e)
-
+let record t e = t.rev_events <- e :: t.rev_events
 let events t = List.rev t.rev_events
 
 let pp_kind ppf = function

@@ -3,7 +3,13 @@
     Records which improvement passes were called on which blocks at each
     iteration of Algorithm 1 — the information Figure 1 of the paper
     visualises.  The experiment harness replays a trace to regenerate
-    that figure as text. *)
+    that figure as text, and [fpart --trace-log] prints it.
+
+    This is a typed in-memory log ([Driver.result.trace]); it writes no
+    recorder records.  A [--trace] file carries the same facts on the
+    driver's spans: [improve.pass] (one per [Improve] event, with the
+    value after), [driver.iteration] (method, committed block size and
+    pins) and [driver.run] (k, feasibility, iterations). *)
 
 type pass_kind =
   | Pair_latest      (** Improve(R_k, P_k): the two lately created blocks. *)
@@ -21,7 +27,7 @@ type event =
       blocks : int list;       (** Global block indices involved. *)
       value : Partition.Cost.value;  (** Solution value after the pass. *)
       passes : int;            (** FM passes executed by the engine. *)
-      moves : int;             (** Retained (non-rewound) moves. *)
+      moves : int;             (** Moves applied, rewound ones included. *)
       restarts : int;          (** Solution-stack restarts. *)
     }
   | Committed of { iteration : int; block : int; size : int; pins : int }
@@ -38,11 +44,5 @@ val pp_kind : Format.formatter -> pass_kind -> unit
 val pp_event : Format.formatter -> event -> unit
 
 (** Stable machine-readable name of a pass kind ([pair_latest],
-    [all_blocks], …) — the [kind] field of the JSON encoding. *)
+    [all_blocks], …) — the [kind] attr of the [improve.pass] span. *)
 val kind_name : pass_kind -> string
-
-(** JSON encoding of an event:
-    [{"type":"trace","event":"bipartition"|"improve"|"committed"|"done",…}].
-    [record] also emits this encoding to the current [Fpart_obs.Sink]
-    whenever observability is enabled. *)
-val to_json : event -> Fpart_obs.Json.t

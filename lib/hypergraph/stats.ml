@@ -125,10 +125,3 @@ let rent_exponent h ~rng_seed ~samples =
     done;
     if List.length !points < 4 then None else least_squares_slope !points
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "nodes=%d (cells=%d pads=%d) nets=%d size=%d net-deg avg=%.2f max=%d \
-     node-deg avg=%.2f max=%d components=%d"
-    s.nodes s.cells s.pads s.nets s.total_size s.avg_net_degree s.max_net_degree
-    s.avg_node_degree s.max_node_degree s.components

@@ -36,5 +36,3 @@ val external_nets : Hgraph.t -> Hgraph.node list -> int
     [None] when the circuit is too small to sample (fewer than two
     usable cluster sizes). *)
 val rent_exponent : Hgraph.t -> rng_seed:int -> samples:int -> float option
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -21,22 +21,7 @@ let min_reduction = 1.1
 let max_levels = 24
 let refine_passes = 1
 
-type level_stat = {
-  level : int;
-  nodes : int;
-  nets : int;
-  cut_before : int;
-  cut_after : int;
-  value_before : Cost.value;
-  value_after : Cost.value;
-}
-
-type result = {
-  res : Driver.result;
-  levels : int;
-  coarsen_ratio : float;
-  level_stats : level_stat list;
-}
+type result = { res : Driver.result; levels : int; coarsen_ratio : float }
 
 let c_levels = Obs.counter "mlevel.levels"
 let c_refines = Obs.counter "mlevel.refines"
@@ -119,9 +104,10 @@ let crosscheck base ~hg ~k ~lvl_index ~flat_map st =
   end
 
 (* Refine one level: seed a fresh state (and thus gain buckets) from
-   the projected assignment, run the bounded flat improvement, record
-   the convergence point.  Returns the refined assignment. *)
-let refine_level base ~ctx ~hg ~k ~stats ~lvl_index ~flat_map lvl_hg assign =
+   the projected assignment, run the bounded flat improvement, and
+   close the level's span with its convergence point.  Returns the
+   refined assignment. *)
+let refine_level base ~ctx ~hg ~k ~lvl_index ~flat_map lvl_hg assign =
   Obs.incr c_refines;
   let refine_cfg =
     (* The projected partition is already near its pass optimum, so a
@@ -142,45 +128,32 @@ let refine_level base ~ctx ~hg ~k ~stats ~lvl_index ~flat_map lvl_hg assign =
   in
   let st = State.create lvl_hg ~k ~assign:(fun v -> assign.(v)) in
   crosscheck base ~hg ~k ~lvl_index ~flat_map st;
-  let eval st =
-    Cost.evaluate base.Config.cost ctx st ~remainder:None ~step_k:k
+  (* the solution values are computed only for a recorded span *)
+  let value () =
+    Cost.value_to_json
+      (Cost.evaluate base.Config.cost ctx st ~remainder:None ~step_k:k)
   in
+  let telemetry = Obs.enabled () in
   let cut_before = State.cut_size st in
-  let value_before = eval st in
+  let value_before = if telemetry then [ ("value_before", value ()) ] else [] in
   let sp = Recorder.span_begin "mlevel.refine" in
   Driver.refine refine_cfg ctx st;
-  let cut_after = State.cut_size st in
-  let value_after = eval st in
-  let nodes = Hg.num_nodes lvl_hg and nets = Hg.num_nets lvl_hg in
+  let value_after = if telemetry then [ ("value_after", value ()) ] else [] in
   Recorder.span_end sp
     ~attrs:
-      [
-        ("level", Json.Int lvl_index);
-        ("nodes", Json.Int nodes);
-        ("cut_before", Json.Int cut_before);
-        ("cut_after", Json.Int cut_after);
-      ];
-  if Obs.enabled () then
-    Recorder.event
-      [
-        ("type", Json.Str "mlevel_level");
-        ("level", Json.Int lvl_index);
-        ("nodes", Json.Int nodes);
-        ("nets", Json.Int nets);
-        ("cut_before", Json.Int cut_before);
-        ("cut_after", Json.Int cut_after);
-        ("value_before", Cost.value_to_json value_before);
-        ("value_after", Cost.value_to_json value_after);
-      ];
-  stats :=
-    { level = lvl_index; nodes; nets; cut_before; cut_after; value_before;
-      value_after }
-    :: !stats;
+      ([
+         ("level", Json.Int lvl_index);
+         ("nodes", Json.Int (Hg.num_nodes lvl_hg));
+         ("nets", Json.Int (Hg.num_nets lvl_hg));
+         ("cut_before", Json.Int cut_before);
+         ("cut_after", Json.Int (State.cut_size st));
+       ]
+      @ value_before @ value_after);
   State.assignment st
 
 (* Unwind a hierarchy: project level by level, refining at each finer
    level down to and including the flat graph. *)
-let descend base ~ctx ~hg ~levels ~k ~stats assign_top =
+let descend base ~ctx ~hg ~levels ~k assign_top =
   let arr = Array.of_list levels in
   let identity = lazy (Array.init (Hg.num_nodes hg) Fun.id) in
   let assign = ref assign_top in
@@ -193,7 +166,7 @@ let descend base ~ctx ~hg ~levels ~k ~stats assign_top =
         (arr.(i - 1).graph, arr.(i - 1).flat_map, arr.(i - 1).index)
     in
     assign :=
-      refine_level base ~ctx ~hg ~k ~stats ~lvl_index:fine_index
+      refine_level base ~ctx ~hg ~k ~lvl_index:fine_index
         ~flat_map:fine_map fine_hg fine_assign
   done;
   !assign
@@ -240,9 +213,8 @@ let run ?(base = Config.default) hg device =
         ("feasible", Json.Bool r0.Driver.feasible);
         ("runs", Json.Int coarse_runs);
       ];
-  let stats = ref [] in
   let sp_u = Recorder.span_begin "mlevel.uncoarsen" in
-  let assign = descend base ~ctx ~hg ~levels ~k ~stats r0.Driver.assignment in
+  let assign = descend base ~ctx ~hg ~levels ~k r0.Driver.assignment in
   Recorder.span_end sp_u ~attrs:[];
   let st = State.create hg ~k ~assign:(fun v -> assign.(v)) in
   if Selfcheck.at_least base.Config.selfcheck Selfcheck.Cheap then
@@ -268,4 +240,4 @@ let run ?(base = Config.default) hg device =
         ("levels", Json.Int nlevels);
         ("ratio", Json.Float coarsen_ratio);
       ];
-  { res; levels = nlevels; coarsen_ratio; level_stats = List.rev !stats }
+  { res; levels = nlevels; coarsen_ratio }

@@ -38,20 +38,11 @@
        every level.
 
     Every phase is wrapped in [Fpart_obs.Recorder] spans
-    ([mlevel.run/coarsen/initial/uncoarsen/refine]) with coarsening
-    ratios and per-level cut/value convergence events. *)
-
-(** Refinement telemetry for one uncoarsening level (also emitted as
-    [{"type":"mlevel_level",...}] recorder events). *)
-type level_stat = {
-  level : int;  (** 0 = the original flat graph. *)
-  nodes : int;
-  nets : int;
-  cut_before : int;   (** After projection, before refinement. *)
-  cut_after : int;
-  value_before : Partition.Cost.value;
-  value_after : Partition.Cost.value;
-}
+    ([mlevel.run/coarsen/initial/uncoarsen/refine]), and each level's
+    coarsening ratio is an [mlevel_coarsen] record.  An
+    [mlevel.refine] span carries its level's convergence point:
+    [level], [nodes], [nets], [cut_before]/[cut_after] and, when
+    telemetry is on, [value_before]/[value_after]. *)
 
 type result = {
   res : Fpart.Driver.result;
@@ -60,8 +51,6 @@ type result = {
   levels : int;  (** Coarsening levels built (0 = never coarsened). *)
   coarsen_ratio : float;
       (** Original nodes / coarsest nodes (≥ 1). *)
-  level_stats : level_stat list;
-      (** One per refinement, coarsest first. *)
 }
 
 (** [run ?base hg device] partitions [hg] onto copies of [device].

@@ -28,10 +28,6 @@ let empty =
     add_nets = [];
   }
 
-let is_empty d =
-  d.remove_nodes = [] && d.remove_nets = [] && d.add_cells = []
-  && d.add_pads = [] && d.add_nets = []
-
 let summary d =
   Printf.sprintf "-%d nodes -%d nets +%d cells +%d pads +%d nets"
     (List.length d.remove_nodes)

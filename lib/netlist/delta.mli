@@ -41,8 +41,6 @@ type t = {
 
 val empty : t
 
-val is_empty : t -> bool
-
 (** [summary d] is a short human-readable count string, e.g.
     ["-2 nodes -1 nets +3 cells +1 pads +2 nets"]. *)
 val summary : t -> string

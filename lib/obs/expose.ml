@@ -470,10 +470,3 @@ let quantile_of_buckets ~p series =
       in
       go series
     end
-
-let delta_buckets ~prev ~cur =
-  if
-    List.length prev = List.length cur
-    && List.for_all2 (fun (a, _) (b, _) -> a = b) prev cur
-  then List.map2 (fun (le, c) (_, p) -> (le, c -. p)) cur prev
-  else cur

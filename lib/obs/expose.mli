@@ -1,7 +1,6 @@
 (** Prometheus text-format exposition over the live {!Metrics} and
     {!Resource} state, plus the strict parser the tests, the CI smoke
-    job and [fpart_inspect scrape]/[live] use to validate and consume
-    it.
+    job and [fpart_inspect scrape] use to validate and consume it.
 
     {!render} walks the calling domain's instrument cells — in a
     daemon that is the domain where the engine merges worker activity,
@@ -104,12 +103,5 @@ val hist_sum : family list -> string -> float option
     cumulative [(le, count)] series: the lowest bucket bound at which
     the cumulative count reaches ⌈p·total⌉.  [nan] on an empty or
     zero-count series; an answer in the +Inf bucket reports the last
-    finite bound.  Feed it the {e delta} of two scrapes' series to get
-    interval quantiles ([fpart_inspect live]'s p50/p95 columns). *)
+    finite bound ([fpart_inspect scrape]'s p50/p95 columns). *)
 val quantile_of_buckets : p:float -> (float * float) list -> float
-
-(** [delta_buckets ~prev ~cur] subtracts two cumulative series of the
-    same shape pointwise (what happened between two scrapes); [cur]
-    when shapes differ (e.g. first scrape). *)
-val delta_buckets :
-  prev:(float * float) list -> cur:(float * float) list -> (float * float) list

@@ -60,7 +60,9 @@ let of_records records =
    export ([{"traceEvents":[...]}]); sniffed by parsing.  Chrome
    events are folded back into the original record shape: ["X"] events
    become span records, ["i"] events return their [args] (which kept
-   the original fields), ["M"] metadata is dropped. *)
+   the original fields); ["C"] memory events repeat their span's
+   [heap_w]/[rss_kb] and ["M"] metadata describes tracks, so both are
+   dropped. *)
 
 let record_of_chrome_event ev =
   let args = match fget "args" ev with Some (Json.Obj f) -> f | _ -> [] in
@@ -77,10 +79,7 @@ let record_of_chrome_event ev =
          :: ("track", Json.Int track)
          :: ("t_ms", Json.Float t_ms)
          :: args))
-  | Some "i" | Some "C" ->
-    (* "i" instants and "C" counters both kept their original record
-       fields in [args]; counters lost only the [span] back-reference
-       (see Sink.chrome). *)
+  | Some "i" ->
     Some (Json.Obj (args @ [ ("track", Json.Int track); ("t_ms", Json.Float t_ms) ]))
   | _ -> None
 
@@ -379,10 +378,10 @@ let has_resource_data t = Hashtbl.length (span_resources t) > 0
 
 (* {2 Convergence}
 
-   One row per [schedule] record (one per [Improve()] call), enriched
-   with the [pass] records recorded under the same span: passes to
-   convergence, moves applied vs retained after the rewind (the
-   difference is wasted work), and the value trajectory. *)
+   One row per [improve.pass] span (one per [Improve()] call), in file
+   order: passes to convergence, moves applied vs retained after the
+   rewind (the difference is wasted work), and the cut and value
+   trajectory the span carries. *)
 
 type conv_row = {
   c_iteration : int;
@@ -396,6 +395,13 @@ type conv_row = {
   c_cut_after : int;
   c_value_after : Json.t option;
 }
+
+let improve_spans t =
+  List.filter
+    (fun j -> fstr "type" j = Some "span" && fstr "name" j = Some "improve.pass")
+    t.records
+
+let step_of j = match fstr "kind" j with Some s -> s | None -> "?"
 
 let pp_value_json ppf = function
   | Some (Json.Obj fields as j) -> (
@@ -412,33 +418,27 @@ let pp_value_json ppf = function
   | None -> Format.pp_print_string ppf "-"
 
 let convergence t =
-  List.filter_map
+  List.map
     (fun j ->
-      match fstr "type" j with
-      | Some "schedule" ->
-        Some
-          {
-            c_iteration = int_or 0 (fint "iteration" j);
-            c_step = (match fstr "step" j with Some s -> s | None -> "?");
-            c_blocks =
-              (match fget "blocks" j with
-              | Some (Json.List l) -> List.length l
-              | _ -> int_or 0 (fint "blocks" j));
-            c_passes = int_or 0 (fint "passes" j);
-            c_moves = int_or 0 (fint "moves" j);
-            c_retained = int_or 0 (fint "moves_retained" j);
-            c_restarts = int_or 0 (fint "restarts" j);
-            c_cut_before = int_or 0 (fint "cut_before" j);
-            c_cut_after = int_or 0 (fint "cut_after" j);
-            c_value_after = fget "value_after" j;
-          }
-      | _ -> None)
-    t.records
+      {
+        c_iteration = int_or 0 (fint "iteration" j);
+        c_step = step_of j;
+        c_blocks =
+          (match fget "blocks" j with Some (Json.List l) -> List.length l | _ -> 0);
+        c_passes = int_or 0 (fint "passes" j);
+        c_moves = int_or 0 (fint "moves" j);
+        c_retained = int_or 0 (fint "moves_retained" j);
+        c_restarts = int_or 0 (fint "restarts" j);
+        c_cut_before = int_or 0 (fint "cut_before" j);
+        c_cut_after = int_or 0 (fint "cut_after" j);
+        c_value_after = fget "value_after" j;
+      })
+    (improve_spans t)
 
 let pp_convergence ppf t =
   let rows = convergence t in
   if rows = [] then
-    Format.fprintf ppf "no schedule records (run with --trace and --stats)@."
+    Format.fprintf ppf "no improve.pass spans (record the run with --trace)@."
   else begin
     Format.fprintf ppf "%4s %-12s %6s %6s %6s %8s %6s %10s %s@." "it" "step"
       "blocks" "passes" "moves" "retained" "waste" "cut" "value";
@@ -459,8 +459,8 @@ let pp_convergence ppf t =
   end
 
 (* [pp_mem] renders the memory view of a trace: self-allocation
-   hotspots, per-Improve() allocation rows (keyed by the [span] field
-   of each schedule record), and root-span totals. *)
+   hotspots, per-Improve() allocation rows (the resource fields of each
+   [improve.pass] span), and root-span totals. *)
 let pp_mem ppf t =
   if not (has_resource_data t) then
     Format.fprintf ppf
@@ -478,16 +478,11 @@ let pp_mem ppf t =
     let sched =
       List.filter_map
         (fun j ->
-          match (fstr "type" j, fint "span" j) with
-          | Some "schedule", Some sid ->
-            Option.map
-              (fun r ->
-                (int_or 0 (fint "iteration" j),
-                 (match fstr "step" j with Some s -> s | None -> "?"),
-                 r))
-              (Hashtbl.find_opt res sid)
-          | _ -> None)
-        t.records
+          Option.bind (fint "id" j) (fun id ->
+              Option.map
+                (fun r -> (int_or 0 (fint "iteration" j), step_of j, r))
+                (Hashtbl.find_opt res id)))
+        (improve_spans t)
     in
     if sched <> [] then begin
       Format.fprintf ppf "== per-pass allocation (one row per Improve() call) ==@.";
@@ -770,12 +765,11 @@ let pp_regress ppf verdicts =
       (List.length verdicts) bad
   end
 
-(* {2 Exposition consumers: scrape and live}
+(* {2 Exposition consumer: scrape}
 
-   Rendering for [fpart_inspect scrape] (one parsed exposition page as
-   a compact table) and [fpart_inspect live] (the delta of two pages as
-   one dashboard row).  Everything works on {!Expose.family} lists so a
-   page fetched over HTTP and one read from a [--metrics-out] file look
+   Rendering for [fpart_inspect scrape]: one parsed exposition page as
+   a compact table.  It works on {!Expose.family} lists so a page
+   fetched over HTTP and one read from a [--metrics-out] file look
    identical. *)
 
 let fmt_value v =
@@ -812,76 +806,3 @@ let pp_scrape ppf (fams : Expose.family list) =
             (fmt_value smp.Expose.s_value)
         | _ -> ()))
     sorted
-
-type live_stats = {
-  l_req_s : float;
-  l_err_s : float;
-  l_cold_n : int;
-  l_cold_p50 : float;
-  l_cold_p95 : float;
-  l_warm_n : int;
-  l_warm_p50 : float;
-  l_warm_p95 : float;
-  l_hit_ratio : float;
-  l_cache_entries : int;
-  l_rss_kb : int;
-  l_heap_w : int;
-}
-
-let live_stats ~prev ~cur ~dt_s =
-  let v name = Option.value ~default:0.0 (Expose.find cur name) in
-  let dv name =
-    let p =
-      match prev with
-      | [] -> 0.0
-      | _ -> Option.value ~default:0.0 (Expose.find prev name)
-    in
-    Float.max 0.0 (v name -. p)
-  in
-  let hist name =
-    let curb = Expose.buckets cur name in
-    let d =
-      match prev with
-      | [] -> curb
-      | _ -> Expose.delta_buckets ~prev:(Expose.buckets prev name) ~cur:curb
-    in
-    let n =
-      match List.rev d with [] -> 0.0 | (_, total) :: _ -> total
-    in
-    ( int_of_float n,
-      Expose.quantile_of_buckets ~p:0.5 d,
-      Expose.quantile_of_buckets ~p:0.95 d )
-  in
-  let cold_n, cold_p50, cold_p95 = hist "fpart_serve_latency_cold_ms" in
-  let warm_n, warm_p50, warm_p95 = hist "fpart_serve_latency_warm_ms" in
-  let dt = if dt_s <= 0.0 then 1.0 else dt_s in
-  {
-    l_req_s = dv "fpart_serve_requests_total" /. dt;
-    l_err_s = dv "fpart_serve_errors_total" /. dt;
-    l_cold_n = cold_n;
-    l_cold_p50 = cold_p50;
-    l_cold_p95 = cold_p95;
-    l_warm_n = warm_n;
-    l_warm_p50 = warm_p50;
-    l_warm_p95 = warm_p95;
-    l_hit_ratio = v "fpart_serve_cache_hit_ratio";
-    l_cache_entries = int_of_float (v "fpart_serve_cache_entries");
-    l_rss_kb = int_of_float (v "fpart_process_max_rss_kb");
-    l_heap_w = int_of_float (v "fpart_process_top_heap_words");
-  }
-
-let pp_live_header ppf () =
-  Format.fprintf ppf "%8s %6s  %-20s %-20s %5s %7s %8s %10s@." "req/s" "err/s"
-    "cold n/p50/p95 ms" "warm n/p50/p95 ms" "hit%" "entries" "rss MiB"
-    "heap Mw"
-
-let pp_live_row ppf l =
-  let q v = if Float.is_nan v then "-" else fmt_value v in
-  let h n p50 p95 = Printf.sprintf "%d/%s/%s" n (q p50) (q p95) in
-  Format.fprintf ppf "%8.1f %6.1f  %-20s %-20s %4.0f%% %7d %8.1f %10.2f@."
-    l.l_req_s l.l_err_s
-    (h l.l_cold_n l.l_cold_p50 l.l_cold_p95)
-    (h l.l_warm_n l.l_warm_p50 l.l_warm_p95)
-    (l.l_hit_ratio *. 100.0) l.l_cache_entries
-    (float_of_int l.l_rss_kb /. 1024.0)
-    (float_of_int l.l_heap_w /. 1e6)

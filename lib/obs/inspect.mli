@@ -22,8 +22,10 @@ val records : t -> Json.t list
 val spans : t -> span list
 
 (** Parse [text] as a trace: a chrome export (one JSON object with
-    [traceEvents], events folded back into record shape) or JSONL.
-    [Error] carries the first parse failure. *)
+    [traceEvents], events folded back into record shape, the ["C"]
+    memory events that repeat span fields dropped) or JSONL.  Both
+    exports of one run load to the same records.  [Error] carries the
+    first parse failure. *)
 val load_string : string -> (t, string) result
 
 val load_file : string -> (t, string) result
@@ -89,7 +91,8 @@ val mem_totals : t -> mem_totals
 val has_resource_data : t -> bool
 
 (** Memory report: self-allocation hotspots, per-Improve() allocation
-    rows (schedule records joined to their spans) and totals. *)
+    rows (the resource fields of each [improve.pass] span) and
+    totals. *)
 val pp_mem : Format.formatter -> t -> unit
 
 type conv_row = {
@@ -105,7 +108,10 @@ type conv_row = {
   c_value_after : Json.t option;
 }
 
-(** One row per [schedule] record (one per [Improve()] call). *)
+(** One row per [improve.pass] span (one per [Improve()] call), in
+    file order, read from the span's attrs: [iteration], [kind],
+    [blocks], [passes], [moves], [moves_retained], [restarts],
+    [cut_before]/[cut_after] and [value_after]. *)
 val convergence : t -> conv_row list
 
 val pp_convergence : Format.formatter -> t -> unit
@@ -159,39 +165,13 @@ val regress :
 
 val pp_regress : Format.formatter -> verdict list -> unit
 
-(** {2 Exposition consumers}
+(** {2 Exposition consumer}
 
-    Rendering for [fpart_inspect scrape] and [live] over parsed
-    {!Expose} pages, so an HTTP scrape and a [--metrics-out] file are
-    consumed identically. *)
+    Rendering for [fpart_inspect scrape] over parsed {!Expose} pages,
+    so an HTTP scrape and a [--metrics-out] file are consumed
+    identically. *)
 
 (** Compact sorted table of one page: one line per family — counters
     and gauges as [name value], histograms as
     [name count=… sum=… p50<=… p95<=…] (bucket-resolution quantiles). *)
 val pp_scrape : Format.formatter -> Expose.family list -> unit
-
-type live_stats = {
-  l_req_s : float;  (** request rate over the interval *)
-  l_err_s : float;
-  l_cold_n : int;  (** cold completions in the interval *)
-  l_cold_p50 : float;  (** interval quantiles, bucket resolution *)
-  l_cold_p95 : float;
-  l_warm_n : int;
-  l_warm_p50 : float;
-  l_warm_p95 : float;
-  l_hit_ratio : float;  (** lifetime cache hit ratio gauge *)
-  l_cache_entries : int;
-  l_rss_kb : int;
-  l_heap_w : int;
-}
-
-(** [live_stats ~prev ~cur ~dt_s] is the dashboard row for the
-    interval between two scrapes ([prev = []] for the first frame:
-    deltas fall back to lifetime values). *)
-val live_stats :
-  prev:Expose.family list -> cur:Expose.family list -> dt_s:float ->
-  live_stats
-
-val pp_live_header : Format.formatter -> unit -> unit
-
-val pp_live_row : Format.formatter -> live_stats -> unit

@@ -187,26 +187,7 @@ let span_end s ~attrs =
            t_ms = rel_ms s.s_t0;
            dur_ms;
            attrs;
-         });
-    (* One counter record per closed span: sinks export it as a Chrome
-       ["C"] event so Perfetto draws heap/RSS tracks alongside the
-       span flame graph. *)
-    match res with
-    | None -> ()
-    | Some dl ->
-      push_entry d
-        (Eblob
-           {
-             span = s.s_id;
-             track = track ();
-             t_ms = rel_ms t1;
-             fields =
-               [
-                 ("type", Json.Str "counter");
-                 ("heap_w", Json.Int dl.Resource.d_top_heap_words);
-                 ("rss_kb", Json.Int dl.Resource.d_maxrss_kb);
-               ];
-           })
+         })
   end
 
 let current_id () =

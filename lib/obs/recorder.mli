@@ -3,7 +3,9 @@
     A span record is [{"type":"span","name":...,"dur_ms":...}] plus
     tree structure: a process-unique [id], the [parent] id of the span
     open on the same domain when it began ([0] for a root), the domain
-    [track] it ran on, and an epoch-relative begin time [t_ms].  Every
+    [track] it ran on, and an epoch-relative begin time [t_ms], then
+    the caller's attrs (a span carries the outcome it measured) and,
+    when {!Resource.enabled}, the resource delta fields.  Every
     [span_end] also feeds the {!Metrics} duration histogram of the
     span's name.
 
@@ -59,8 +61,10 @@ val with_request : string option -> (unit -> 'a) -> 'a
     current span id ([span]), domain ([track]) and emission time
     ([t_ms]).  Inside a {!capture} the record is buffered with the
     spans, so its [span] reference survives the id rebase in
-    {!merge}.  Not gated: callers decide (trace events have their own
-    switch). *)
+    {!merge}.  Not gated: callers check {!Metrics.enabled} before
+    building the fields.  For facts no span measures ([pass],
+    [mlevel_coarsen], [selfcheck]); an outcome of a span's own work
+    goes on the span as an attr instead. *)
 val event : (string * Json.t) list -> unit
 
 (** Entries recorded during a {!capture}, in emission order. *)

@@ -9,7 +9,7 @@
 
     {!Recorder.span_begin} takes a sample when {!enabled}, and
     {!Recorder.span_end} appends the {!delta} fields to the span record
-    plus one [{"type":"counter"}] record (exported as a Chrome Trace
+    ({!Sink.chrome} also draws its [heap_w]/[rss_kb] as a Chrome Trace
     ["C"] event).  Flow fields (words allocated, collections, CPU time)
     are differences of the sampling domain's counters plus the flows
     it has {!adopt}ed; peak fields ([heap_w], [rss_kb]) are monotone

@@ -6,7 +6,7 @@ let null = { emit = ignore; close = ignore }
    [Sys_error] is reported once on stderr and the sink goes inert, so a
    full disk or a closed descriptor degrades a traced run instead of
    killing it — and instead of silently swallowing every record. *)
-let guarded ~what oc ~write ~close_channel =
+let guarded ~what oc ~write =
   let failed = ref false in
   let protect op =
     if not !failed then
@@ -25,12 +25,11 @@ let guarded ~what oc ~write ~close_channel =
           with Sys_error msg ->
             if not !failed then
               prerr_endline
-                (Printf.sprintf "fpart_obs: %s sink error on close: %s" what msg);
-        ignore close_channel);
+                (Printf.sprintf "fpart_obs: %s sink error on close: %s" what msg));
   }
 
 let jsonl oc =
-  guarded ~what:"jsonl" oc ~close_channel:true ~write:(fun j ->
+  guarded ~what:"jsonl" oc ~write:(fun j ->
       output_string oc (Json.to_string j);
       output_char oc '\n')
 
@@ -39,14 +38,14 @@ let jsonl oc =
    One streaming JSON object [{"traceEvents":[...]}], loadable by
    chrome://tracing and Perfetto.  Recorder span records (carrying
    [t_ms]/[dur_ms]/[track]) become complete ["X"] phase events on
-   pid 1 with the domain track as tid; recorder resource records
-   ([{"type":"counter",...}]) become counter ["C"] events named
-   "memory" whose numeric args Perfetto plots as heap/RSS tracks;
-   every other record (trace events, pass/schedule telemetry) becomes
-   an instant ["i"] event at its emission time.  The remaining record
-   fields — including the recorder's [id]/[parent] span ids — ride in
-   ["args"], so offline tooling can rebuild the span tree from the
-   chrome file too.  [close] appends thread-name metadata for every
+   pid 1 with the domain track as tid; a span that carries the resource
+   peaks [heap_w]/[rss_kb] is followed by a counter ["C"] event named
+   "memory" at the span's end, whose numeric args Perfetto plots as
+   heap/RSS tracks; every other record ([pass] telemetry and the like)
+   becomes an instant ["i"] event at its emission time.  The remaining
+   record fields, including the recorder's [id]/[parent] span ids,
+   ride in ["args"], so offline tooling can rebuild the span tree from
+   the chrome file too.  [close] appends thread-name metadata for every
    track seen and terminates the object, so the finished file parses
    as strict JSON. *)
 
@@ -65,7 +64,7 @@ let chrome oc =
     output_string oc (Json.to_string ev);
     incr count
   in
-  let event_of j =
+  let write_record j =
     match j with
     | Json.Obj fields ->
       let ty =
@@ -77,7 +76,7 @@ let chrome oc =
       (* [ts]/[dur]/[tid] and the event name carry the positional
          fields; everything else rides in [args] so a reader (e.g.
          [Inspect.load_file]) can rebuild the original records. *)
-      if ty = "span" then
+      if ty = "span" then begin
         let name =
           match fget "name" fields with Some (Json.Str s) -> s | _ -> "span"
         in
@@ -89,70 +88,64 @@ let chrome oc =
                    (List.mem k [ "type"; "name"; "dur_ms"; "t_ms"; "track" ]))
                fields)
         in
-        Json.Obj
-          [
-            ("name", Json.Str name);
-            ("cat", Json.Str "fpart");
-            ("ph", Json.Str "X");
-            ("ts", Json.Float ts);
-            ("dur", Json.Float (1000.0 *. num (fget "dur_ms" fields)));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int track);
-            ("args", args);
-          ]
-      else if ty = "counter" then
-        (* Recorder resource records become counter ("C") events: the
-           numeric args define the counter series Perfetto plots.  The
-           [span] back-reference is dropped from args (it would plot as
-           a bogus series); the loader reconstructs a span-less counter
-           record, which [Inspect.validate] accepts. *)
-        let args =
-          Json.Obj
-            (List.filter
-               (fun (k, _) -> not (List.mem k [ "t_ms"; "track"; "span" ]))
-               fields)
-        in
-        Json.Obj
-          [
-            ("name", Json.Str "memory");
-            ("cat", Json.Str "fpart");
-            ("ph", Json.Str "C");
-            ("ts", Json.Float ts);
-            ("pid", Json.Int 1);
-            ("tid", Json.Int track);
-            ("args", args);
-          ]
+        let dur = 1000.0 *. num (fget "dur_ms" fields) in
+        write_event
+          (Json.Obj
+             [
+               ("name", Json.Str name);
+               ("cat", Json.Str "fpart");
+               ("ph", Json.Str "X");
+               ("ts", Json.Float ts);
+               ("dur", Json.Float dur);
+               ("pid", Json.Int 1);
+               ("tid", Json.Int track);
+               ("args", args);
+             ]);
+        match (fget "heap_w" fields, fget "rss_kb" fields) with
+        | Some heap_w, Some rss_kb ->
+          write_event
+            (Json.Obj
+               [
+                 ("name", Json.Str "memory");
+                 ("cat", Json.Str "fpart");
+                 ("ph", Json.Str "C");
+                 ("ts", Json.Float (ts +. dur));
+                 ("pid", Json.Int 1);
+                 ("tid", Json.Int track);
+                 ("args", Json.Obj [ ("heap_w", heap_w); ("rss_kb", rss_kb) ]);
+               ])
+        | _ -> ()
+      end
       else
         let args =
           Json.Obj
             (List.filter (fun (k, _) -> k <> "t_ms" && k <> "track") fields)
         in
-        let name =
-          match fget "event" fields with Some (Json.Str s) -> ty ^ "." ^ s | _ -> ty
-        in
-        Json.Obj
-          [
-            ("name", Json.Str name);
-            ("cat", Json.Str "fpart");
-            ("ph", Json.Str "i");
-            ("ts", Json.Float ts);
-            ("pid", Json.Int 1);
-            ("tid", Json.Int track);
-            ("s", Json.Str "t");
-            ("args", args);
-          ]
+        write_event
+          (Json.Obj
+             [
+               ("name", Json.Str ty);
+               ("cat", Json.Str "fpart");
+               ("ph", Json.Str "i");
+               ("ts", Json.Float ts);
+               ("pid", Json.Int 1);
+               ("tid", Json.Int track);
+               ("s", Json.Str "t");
+               ("args", args);
+             ])
     | j ->
-      Json.Obj
-        [
-          ("name", Json.Str "record");
-          ("cat", Json.Str "fpart");
-          ("ph", Json.Str "i");
-          ("ts", Json.Float 0.0);
-          ("pid", Json.Int 1);
-          ("tid", Json.Int 0);
-          ("s", Json.Str "t");
-          ("args", j);
-        ]
+      write_event
+        (Json.Obj
+           [
+             ("name", Json.Str "record");
+             ("cat", Json.Str "fpart");
+             ("ph", Json.Str "i");
+             ("ts", Json.Float 0.0);
+             ("pid", Json.Int 1);
+             ("tid", Json.Int 0);
+             ("s", Json.Str "t");
+             ("args", j);
+           ])
   in
   let metadata () =
     List.iter
@@ -176,8 +169,7 @@ let chrome oc =
       (List.sort compare !tracks)
   in
   let base =
-    guarded ~what:"chrome" oc ~close_channel:true ~write:(fun j ->
-        write_event (event_of j))
+    guarded ~what:"chrome" oc ~write:write_record
   in
   {
     emit = base.emit;
@@ -192,35 +184,6 @@ let chrome oc =
         base.close ());
   }
 
-(* key=value one-liners; nested values fall back to compact JSON. *)
-let pretty ppf =
-  let pp_field ppf (k, v) =
-    match v with
-    | Json.Str s -> Format.fprintf ppf "%s=%s" k s
-    | Json.Float f -> Format.fprintf ppf "%s=%.3f" k f
-    | v -> Format.fprintf ppf "%s=%s" k (Json.to_string v)
-  in
-  {
-    emit =
-      (fun j ->
-        match j with
-        | Json.Obj fields ->
-          Format.fprintf ppf "%a@."
-            (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_field)
-            fields
-        | j -> Format.fprintf ppf "%s@." (Json.to_string j));
-    close = (fun () -> Format.pp_print_flush ppf ());
-  }
-
-let tee sinks =
-  {
-    emit = (fun j -> List.iter (fun s -> s.emit j) sinks);
-    close = (fun () -> List.iter (fun s -> s.close ()) sinks);
-  }
-
-let filtered ~keep s =
-  { emit = (fun j -> if keep j then s.emit j); close = s.close }
-
 let memory () =
   let acc = ref [] in
   ( { emit = (fun j -> acc := j :: !acc); close = ignore },
@@ -228,8 +191,7 @@ let memory () =
 
 let current = ref null
 
-(* Individual sinks are not thread-safe (they write to channels or
-   formatters), so the process-wide emission point serializes records
+(* Individual sinks are not thread-safe (they write to channels), so the process-wide emission point serializes records
    from concurrent domains. *)
 let emit_mutex = Mutex.create ()
 let set s = Mutex.protect emit_mutex (fun () -> current := s)

@@ -1,10 +1,11 @@
-(** Pluggable destinations for observability records.
+(** Destinations for observability records.
 
-    Every record is one {!Json.t} object (spans from {!Recorder}, trace
-    events from [Fpart.Trace], reports).  Instrumented code emits to a
-    single process-wide current sink; composing sinks ([tee],
-    [filtered]) is the caller's job.  The default sink is {!null}, so
-    emission is a no-op until a CLI / bench / test installs one. *)
+    Every record is one {!Json.t} object: a span from {!Recorder}
+    (carrying its own outcome attrs) or a telemetry record no span
+    repeats ([pass], [mlevel_coarsen], [selfcheck]).
+    Instrumented code emits to a single process-wide current sink.  The
+    default sink is {!null}, so emission is a no-op until a CLI, bench
+    or test installs one. *)
 
 type t = {
   emit : Json.t -> unit;
@@ -24,21 +25,14 @@ val jsonl : out_channel -> t
 (** Chrome Trace Event / Perfetto export: one strict-JSON
     [{"traceEvents":[...]}] object.  {!Recorder} span records become
     complete ["X"]-phase events (ts/dur in µs, [pid] 1, [tid] = the
-    record's domain track); all other records become ["i"] instant
-    events named after their [type]; [close] appends per-track
-    [thread_name] metadata and terminates the object.  Original record
-    fields — including span [id]/[parent] — are preserved under
-    ["args"].  Same error reporting as {!jsonl}. *)
+    record's domain track), each followed, when the span carries
+    [heap_w]/[rss_kb], by a ["C"] counter event named ["memory"] at the
+    span's end (Perfetto's heap and RSS tracks); all other records
+    become ["i"] instant events named after their [type]; [close]
+    appends per-track [thread_name] metadata and terminates the object.
+    Original record fields — including span [id]/[parent] — are
+    preserved under ["args"].  Same error reporting as {!jsonl}. *)
 val chrome : out_channel -> t
-
-(** Human-readable one-liners ([key=value] pairs) on a formatter. *)
-val pretty : Format.formatter -> t
-
-(** Fan out to several sinks. *)
-val tee : t list -> t
-
-(** Forward only records satisfying [keep]. *)
-val filtered : keep:(Json.t -> bool) -> t -> t
 
 (** In-memory capture for tests: the second component lists the records
     emitted so far, in order. *)

@@ -128,6 +128,7 @@ val compare_value : value -> value -> int
 
 val pp_value : Format.formatter -> value -> unit
 
-(** JSON rendering of a value, shared by trace events and the
-    [pass]/[schedule] telemetry records. *)
+(** JSON rendering of a value, shared by the [pass] telemetry records
+    and the [value_before]/[value_after] attrs of the [improve.pass],
+    [mlevel.refine] and [flow.apply] spans. *)
 val value_to_json : value -> Fpart_obs.Json.t

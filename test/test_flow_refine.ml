@@ -1,8 +1,8 @@
 (* Flow-based boundary refinement (Flow.Refine): max-flow vs a
    brute-force min-cut enumeration, corridor window safety, the
    apply-or-restore invariant, the zero-headroom edge case of the
-   feasible move windows, and pool determinism of both --refiner
-   backends.
+   feasible move windows, the outcome each flow.apply span carries, and
+   pool determinism of both --refiner backends.
 
    FPART_TEST_JOBS (default 2) sets the widest pool exercised — CI runs
    the suite a second time with FPART_TEST_JOBS=4. *)
@@ -215,6 +215,82 @@ let test_hybrid_matches_or_beats_sanchis () =
     (State.cut_size st <= cut_input)
 
 (* ------------------------------------------------------------------ *)
+(* Telemetry: each flow.apply span carries the pair's outcome         *)
+(* ------------------------------------------------------------------ *)
+
+(* One traced flow sweep: every evaluated pair is one flow.apply span
+   whose cut_before/cut_after/value_after chain from the input state to
+   the final one (a restored pair leaves the cut unchanged, an applied
+   one never grows it), and no other record repeats the pair. *)
+let test_flow_apply_span_outcome () =
+  let module Obs = Fpart_obs in
+  let hg = Tg.circuit ~name:"refine" ~cells:180 ~pads:20 7 in
+  let device = Tg.tiny_device ~s_max:48 ~t_max:56 in
+  let ctx = Cost.context_of device ~delta:1.0 hg in
+  let base = Driver.run ~config:Config.default hg device in
+  let st = Driver.final_state base hg in
+  let k = State.k st in
+  let eval = make_eval ctx ~k in
+  let cut_input = State.cut_size st in
+  let sink, drain = Obs.Sink.memory () in
+  Obs.Metrics.reset ();
+  Obs.Recorder.reset ();
+  Obs.Metrics.set_enabled true;
+  Obs.Sink.set sink;
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.set_enabled false;
+        Obs.Sink.set Obs.Sink.null;
+        Obs.Metrics.reset ();
+        Obs.Recorder.reset ())
+      (fun () ->
+        Refine.refine_active (Config.flow Config.default) st
+          ~active:(Array.init k Fun.id) ~lower:(Array.make k 0)
+          ~upper:(Array.make k ctx.Cost.s_max) ~eval)
+  in
+  let records = drain () in
+  let field name r = Obs.Json.member name r in
+  let int_field name r =
+    match Option.bind (field name r) Obs.Json.int with
+    | Some i -> i
+    | None -> Alcotest.failf "flow.apply span without %s" name
+  in
+  let applies =
+    List.filter
+      (fun r -> Option.bind (field "name" r) Obs.Json.str = Some "flow.apply")
+      records
+  in
+  Alcotest.(check bool) "pairs evaluated" true (applies <> []);
+  Alcotest.(check bool) "no more spans than pairs tried" true
+    (List.length applies <= report.Refine.pairs_tried);
+  Alcotest.(check int) "applied spans are the applied pairs"
+    report.Refine.pairs_applied
+    (List.length
+       (List.filter (fun r -> field "applied" r = Some (Obs.Json.Bool true)) applies));
+  let last_cut =
+    List.fold_left
+      (fun cut r ->
+        let before = int_field "cut_before" r and after = int_field "cut_after" r in
+        Alcotest.(check int) "cut_before is the previous pair's cut_after" cut before;
+        if field "applied" r = Some (Obs.Json.Bool true) then
+          Alcotest.(check bool) "an applied pair never grows the cut" true
+            (after <= before)
+        else Alcotest.(check int) "a restored pair keeps the cut" before after;
+        after)
+      cut_input applies
+  in
+  Alcotest.(check int) "last cut_after is the final cut" (State.cut_size st) last_cut;
+  Alcotest.(check bool) "last value_after is the final value" true
+    (field "value_after" (List.nth applies (List.length applies - 1))
+    = Some (Cost.value_to_json (eval st)));
+  Alcotest.(check int) "no flow_pair records" 0
+    (List.length
+       (List.filter
+          (fun r -> Option.bind (field "type" r) Obs.Json.str = Some "flow_pair")
+          records))
+
+(* ------------------------------------------------------------------ *)
 (* Pool determinism: both refiners are jobs-invariant                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,6 +345,11 @@ let () =
             test_hybrid_matches_or_beats_sanchis;
           Alcotest.test_case "pool identity" `Quick test_pool_identity;
           Alcotest.test_case "refiner names" `Quick test_refiner_names;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "flow.apply span carries the outcome" `Quick
+            test_flow_apply_span_outcome;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

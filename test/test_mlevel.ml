@@ -239,17 +239,103 @@ let test_engine_jobs_identical () =
   Alcotest.(check (array int)) "same assignment"
     r1.Engine.res.Fpart.Driver.assignment r4.Engine.res.Fpart.Driver.assignment
 
+(* Runs [f] with the recorder on and a memory sink; returns its value
+   and the records. *)
+let recorded f =
+  let module Obs = Fpart_obs in
+  let sink, drain = Obs.Sink.memory () in
+  Obs.Metrics.reset ();
+  Obs.Recorder.reset ();
+  Obs.Metrics.set_enabled true;
+  Obs.Sink.set sink;
+  let x =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.set_enabled false;
+        Obs.Sink.set Obs.Sink.null;
+        Obs.Metrics.reset ();
+        Obs.Recorder.reset ())
+      f
+  in
+  (x, drain ())
+
+let spans_named name records =
+  let module Json = Fpart_obs.Json in
+  List.filter
+    (fun r -> Option.bind (Json.member "name" r) Json.str = Some name)
+    records
+
+(* each level's refinement leaves the solution value no worse, as the
+   [mlevel.refine] span reports it *)
 let test_engine_never_worsens () =
+  let module Json = Fpart_obs.Json in
   let hg = big_circuit 33 in
-  let r = Engine.run hg Device.xc3042 in
-  Alcotest.(check bool) "has levels" true (r.Engine.level_stats <> []);
+  let r, records = recorded (fun () -> Engine.run hg Device.xc3042) in
+  let value field span =
+    let num k j =
+      match Json.member k j with
+      | Some (Json.Float f) -> f
+      | Some (Json.Int i) -> float_of_int i
+      | _ -> Alcotest.failf "%s: no %s" field k
+    in
+    match Json.member field span with
+    | Some v ->
+      {
+        Cost.feasible_blocks = int_of_float (num "feasible_blocks" v);
+        distance = num "distance" v;
+        t_sum = int_of_float (num "t_sum" v);
+        io_bal = num "io_bal" v;
+      }
+    | None -> Alcotest.failf "mlevel.refine span without %s" field
+  in
+  let refines = spans_named "mlevel.refine" records in
+  Alcotest.(check bool) "coarsened" true (r.Engine.levels > 0);
+  Alcotest.(check int) "one span per level" r.Engine.levels (List.length refines);
   List.iter
-    (fun (s : Engine.level_stat) ->
+    (fun sp ->
       Alcotest.(check bool)
-        (Printf.sprintf "level %d no worse" s.Engine.level)
+        (Printf.sprintf "level %s no worse"
+           (Json.to_string (Option.get (Json.member "level" sp))))
         true
-        (Cost.compare_value s.Engine.value_after s.Engine.value_before <= 0))
-    r.Engine.level_stats
+        (Cost.compare_value (value "value_after" sp) (value "value_before" sp) <= 0))
+    refines
+
+(* A traced multilevel run with the hybrid refiner writes each level
+   once: one [mlevel_coarsen] record per level built and otherwise only
+   spans and FM [pass] records, the last [mlevel.refine] span (the flat
+   graph) ends at the result's cut, and flow pairs appear only as
+   [flow.apply] spans. *)
+let test_engine_one_record_per_level () =
+  let module Json = Fpart_obs.Json in
+  let hg = big_circuit 33 in
+  let base =
+    { Fpart.Config.default with Fpart.Config.refiner = Fpart.Config.Hybrid_refiner }
+  in
+  let r, records = recorded (fun () -> Engine.run ~base hg Device.xc3042) in
+  let record_type j = Option.bind (Json.member "type" j) Json.str in
+  let int_attr k j = Option.bind (Json.member k j) Json.int in
+  List.iter
+    (fun j ->
+      match record_type j with
+      | Some ("span" | "pass" | "mlevel_coarsen") -> ()
+      | ty ->
+        Alcotest.failf "record type %s repeats a span"
+          (Option.value ty ~default:"(none)"))
+    records;
+  Alcotest.(check bool) "coarsened" true (r.Engine.levels > 0);
+  Alcotest.(check int) "one mlevel_coarsen record per level" r.Engine.levels
+    (List.length (List.filter (fun j -> record_type j = Some "mlevel_coarsen") records));
+  (match List.rev (spans_named "mlevel.refine" records) with
+  | last :: _ ->
+    Alcotest.(check (option int)) "last level is the flat graph" (Some 0)
+      (int_attr "level" last);
+    Alcotest.(check (option int)) "flat nets" (Some (Hg.num_nets hg))
+      (int_attr "nets" last);
+    Alcotest.(check (option int)) "last cut_after is the result's cut"
+      (Some r.Engine.res.Fpart.Driver.cut) (int_attr "cut_after" last)
+  | [] -> Alcotest.fail "no mlevel.refine span");
+  Alcotest.(check bool) "flow pairs recorded as spans" true
+    (spans_named "flow.apply" records <> [])
 
 let test_engine_no_coarsening () =
   (* 170 nodes, under the 160-node threshold plus the 20 pads:
@@ -307,31 +393,18 @@ let test_solve_mlevel_is_engine () =
 (* the coarsest graph gets [max 3 runs] starts, as the [mlevel.initial]
    span reports; below three, [runs] changes nothing *)
 let test_engine_coarse_starts_floor () =
-  let module Obs = Fpart_obs in
   let hg = circuit ~cells:600 ~pads:50 39 in
   let solve runs =
-    let sink, drain = Obs.Sink.memory () in
-    Obs.Metrics.reset ();
-    Obs.Recorder.reset ();
-    Obs.Metrics.set_enabled true;
-    Obs.Sink.set sink;
-    let res =
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.Metrics.set_enabled false;
-          Obs.Sink.set Obs.Sink.null;
-          Obs.Metrics.reset ();
-          Obs.Recorder.reset ())
-        (fun () ->
+    let res, records =
+      recorded (fun () ->
           Solve.run
             { Fpart.Config.default with
               Fpart.Config.engine = Fpart.Config.Mlevel;
               runs }
             hg Device.xc3042)
     in
-    let name r = Option.bind (Obs.Json.member "name" r) Obs.Json.str in
-    match List.filter (fun r -> name r = Some "mlevel.initial") (drain ()) with
-    | [ r ] -> (res, Option.bind (Obs.Json.member "runs" r) Obs.Json.int)
+    match spans_named "mlevel.initial" records with
+    | [ r ] -> (res, Option.bind (Fpart_obs.Json.member "runs" r) Fpart_obs.Json.int)
     | rs -> Alcotest.failf "expected 1 mlevel.initial span, got %d" (List.length rs)
   in
   let r1, starts1 = solve 1 in
@@ -402,6 +475,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_engine_end_to_end;
           Alcotest.test_case "jobs identical" `Quick test_engine_jobs_identical;
           Alcotest.test_case "never worsens" `Quick test_engine_never_worsens;
+          Alcotest.test_case "one record per level" `Quick
+            test_engine_one_record_per_level;
           Alcotest.test_case "no coarsening" `Quick test_engine_no_coarsening;
           Alcotest.test_case "coarse starts floor" `Quick
             test_engine_coarse_starts_floor;

@@ -1,6 +1,6 @@
 (* Fpart_obs: JSON round-trips, metrics registry semantics, and the
-   driver instrumentation contract (every Improve event wrapped in a
-   matching improve.pass span). *)
+   driver instrumentation contract (one improve.pass span per Improve
+   event, carrying its outcome). *)
 
 module Json = Fpart_obs.Json
 module Metrics = Fpart_obs.Metrics
@@ -204,27 +204,7 @@ let test_clock_regression_guard () =
         "set_source resets the guard" 1.0
         (Fpart_obs.Clock.now ()))
 
-(* --- Sink composition and error reporting --- *)
-
-let test_tee_filtered_ordering () =
-  let is_span j = Option.(bind (Json.member "type" j) Json.str) = Some "span" in
-  let a, drain_a = Sink.memory () in
-  let b, drain_b = Sink.memory () in
-  let sink = Sink.tee [ Sink.filtered ~keep:is_span a; b ] in
-  let span i =
-    Json.Obj [ ("type", Json.Str "span"); ("name", Json.Str "s"); ("i", Json.Int i) ]
-  in
-  let trace i =
-    Json.Obj [ ("type", Json.Str "trace"); ("i", Json.Int i) ]
-  in
-  let stream = [ span 0; trace 1; span 2; trace 3; span 4 ] in
-  List.iter sink.Sink.emit stream;
-  sink.Sink.close ();
-  Alcotest.(check int) "filtered kept only spans" 3 (List.length (drain_a ()));
-  Alcotest.(check bool) "tee preserves full stream in order" true
-    (drain_b () = stream);
-  Alcotest.(check bool) "filtered preserves relative order" true
-    (drain_a () = List.filter is_span stream)
+(* --- Sink error reporting --- *)
 
 (* Route stderr to a file while [f] runs, returning its contents. *)
 let with_captured_stderr f =
@@ -403,52 +383,10 @@ let test_recorder_jobs_deterministic () =
         (Inspect.spans t))
     [ records1; records4 ]
 
-(* --- Chrome export --- *)
-
-let test_chrome_export_strict_json () =
-  let path = Filename.temp_file "fpart_obs_chrome" ".json" in
-  Metrics.reset ();
-  Metrics.set_enabled true;
-  Sink.set (Sink.chrome (open_out path));
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Sink.set Sink.null;
-      Metrics.reset ();
-      Sys.remove path)
-    (fun () ->
-      let root = Recorder.span_begin "c.root" in
-      let child = Recorder.span_begin "c.child" in
-      Recorder.event [ ("type", Json.Str "mark") ];
-      Recorder.span_end child ~attrs:[];
-      Recorder.span_end root ~attrs:[];
-      Sink.close_current ();
-      let text = In_channel.with_open_bin path In_channel.input_all in
-      (match Json.of_string (String.trim text) with
-      | Error e -> Alcotest.failf "chrome export is not strict JSON: %s" e
-      | Ok j ->
-        (match Json.member "traceEvents" j with
-        | Some (Json.List evs) ->
-          Alcotest.(check bool) "events present" true (List.length evs >= 3);
-          let phases =
-            List.filter_map (fun e -> Option.bind (Json.member "ph" e) Json.str) evs
-          in
-          Alcotest.(check bool) "X phases present" true (List.mem "X" phases);
-          Alcotest.(check bool) "thread metadata present" true (List.mem "M" phases)
-        | _ -> Alcotest.fail "no traceEvents list"));
-      (* the loader folds it back into a validated span tree *)
-      match Inspect.load_file path with
-      | Error e -> Alcotest.failf "Inspect.load_file: %s" e
-      | Ok t ->
-        Alcotest.(check (list string)) "round-tripped tree validates" []
-          (Inspect.validate t);
-        Alcotest.(check int) "both spans recovered" 2
-          (List.length (Inspect.spans t)))
-
 (* --- Inspect --- *)
 
 (* A span record; without [t] it has no begin time. *)
-let mk_span ~id ~parent ~name ?t ~dur () =
+let mk_span ~id ~parent ~name ?t ?(attrs = []) ~dur () =
   Json.Obj
     ([
        ("type", Json.Str "span");
@@ -458,27 +396,27 @@ let mk_span ~id ~parent ~name ?t ~dur () =
        ("parent", Json.Int parent);
        ("track", Json.Int 0);
      ]
-    @ match t with Some t -> [ ("t_ms", Json.Float t) ] | None -> [])
+    @ (match t with Some t -> [ ("t_ms", Json.Float t) ] | None -> [])
+    @ attrs)
 
 let test_inspect_analysis () =
   let records =
     [
-      mk_span ~id:2 ~parent:1 ~name:"inner" ~t:1.0 ~dur:4.0 ();
+      mk_span ~id:2 ~parent:1 ~name:"improve.pass" ~t:1.0 ~dur:4.0
+        ~attrs:
+          [
+            ("iteration", Json.Int 1);
+            ("kind", Json.Str "pair_latest");
+            ("blocks", Json.List [ Json.Int 0; Json.Int 1 ]);
+            ("passes", Json.Int 2);
+            ("moves", Json.Int 100);
+            ("moves_retained", Json.Int 40);
+            ("restarts", Json.Int 0);
+            ("cut_before", Json.Int 30);
+            ("cut_after", Json.Int 20);
+          ]
+        ();
       mk_span ~id:1 ~parent:0 ~name:"outer" ~t:0.0 ~dur:10.0 ();
-      Json.Obj
-        [
-          ("type", Json.Str "schedule");
-          ("iteration", Json.Int 1);
-          ("step", Json.Str "pair_latest");
-          ("blocks", Json.List [ Json.Int 0; Json.Int 1 ]);
-          ("passes", Json.Int 2);
-          ("moves", Json.Int 100);
-          ("moves_retained", Json.Int 40);
-          ("restarts", Json.Int 0);
-          ("cut_before", Json.Int 30);
-          ("cut_after", Json.Int 20);
-          ("span", Json.Int 2);
-        ];
     ]
   in
   let t = Inspect.of_records records in
@@ -657,10 +595,55 @@ let spans_with field records =
       && Json.member field j <> None)
     records
 
-let counters records =
-  List.filter
-    (fun j -> Option.(bind (Json.member "type" j) Json.str) = Some "counter")
-    records
+(* --- Chrome export --- *)
+
+(* One run's records written as a chrome export: strict JSON, one "C"
+   memory event per span that carries resource peaks, and a load that
+   folds back to exactly the records a JSONL file of the run holds. *)
+let test_chrome_export_strict_json () =
+  let path = Filename.temp_file "fpart_obs_chrome" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let records =
+        with_res_obs (fun drain ->
+            let root = Recorder.span_begin "c.root" in
+            let child = Recorder.span_begin "c.child" in
+            Recorder.event [ ("type", Json.Str "mark") ];
+            Recorder.span_end child ~attrs:[];
+            Recorder.span_end root ~attrs:[];
+            drain ())
+      in
+      let sink = Sink.chrome (open_out path) in
+      List.iter sink.Sink.emit records;
+      sink.Sink.close ();
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      (match Json.of_string (String.trim text) with
+      | Error e -> Alcotest.failf "chrome export is not strict JSON: %s" e
+      | Ok j ->
+        (match Json.member "traceEvents" j with
+        | Some (Json.List evs) ->
+          let phases =
+            List.filter_map (fun e -> Option.bind (Json.member "ph" e) Json.str) evs
+          in
+          let count ph = List.length (List.filter (( = ) ph) phases) in
+          Alcotest.(check int) "X per span" 2 (count "X");
+          Alcotest.(check int) "C per resource span"
+            (List.length (spans_with "rss_kb" records))
+            (count "C");
+          Alcotest.(check int) "i per event" 1 (count "i");
+          Alcotest.(check bool) "thread metadata present" true (count "M" > 0)
+        | _ -> Alcotest.fail "no traceEvents list"));
+      (* the loader folds it back into a validated span tree *)
+      match Inspect.load_file path with
+      | Error e -> Alcotest.failf "Inspect.load_file: %s" e
+      | Ok t ->
+        Alcotest.(check (list string)) "round-tripped tree validates" []
+          (Inspect.validate t);
+        Alcotest.(check int) "both spans recovered" 2
+          (List.length (Inspect.spans t));
+        Alcotest.(check int) "the JSONL record count" (List.length records)
+          (List.length (Inspect.records t)))
 
 let test_resource_span_records () =
   with_res_obs (fun drain ->
@@ -690,23 +673,22 @@ let test_resource_span_records () =
       (* flows are differences over the enclosing interval, so the root
          must account for at least its child's allocation *)
       Alcotest.(check bool) "root >= child" true (alloc "m.root" >= alloc "m.child");
-      Alcotest.(check int) "one counter record per span" 2
-        (List.length (counters records));
+      Alcotest.(check int) "records are the two spans" 2 (List.length records);
       List.iter
-        (fun c ->
-          Alcotest.(check bool) "counter peaks non-negative" true
-            (Option.get Option.(bind (Json.member "heap_w" c) Json.int) >= 0
-            && Option.get Option.(bind (Json.member "rss_kb" c) Json.int) >= 0))
-        (counters records))
+        (fun sp ->
+          Alcotest.(check bool) "span peaks non-negative" true
+            (Option.get Option.(bind (Json.member "heap_w" sp) Json.int) >= 0
+            && Option.get Option.(bind (Json.member "rss_kb" sp) Json.int) >= 0))
+        rspans)
 
 let test_resource_disabled_no_fields () =
   with_obs (fun drain ->
-      (* recorder on, resource off: plain span records, no counters *)
+      (* recorder on, resource off: plain span records, no peaks *)
       let sp = Recorder.span_begin "m.plain" in
       Recorder.span_end sp ~attrs:[];
       let records = drain () in
       Alcotest.(check int) "no alloc_w fields" 0 (List.length (spans_with "alloc_w" records));
-      Alcotest.(check int) "no counter records" 0 (List.length (counters records)))
+      Alcotest.(check int) "no rss_kb fields" 0 (List.length (spans_with "rss_kb" records)))
 
 let test_resource_watermarks () =
   Resource.reset ();
@@ -1135,85 +1117,110 @@ let test_regress_groups_by_workload () =
 
 (* --- driver instrumentation --- *)
 
-let improve_key = function
-  | Json.Obj _ as j ->
-    ( Option.(bind (Json.member "iteration" j) Json.int),
-      Option.(bind (Json.member "kind" j) Json.str) )
-  | _ -> (None, None)
+let record_type j = Option.(bind (Json.member "type" j) Json.str)
 
+(* One traced flat run, shared by the driver tests below. *)
+let driver_run =
+  lazy
+    (let hg =
+       Netlist.Generator.generate
+         (Netlist.Generator.default_spec ~name:"obs" ~cells:300 ~pads:40 ~seed:3)
+     in
+     with_obs (fun drain ->
+         let r = Fpart.Driver.run hg Device.xc2064 in
+         (r, drain ())))
+
+let spans_named name records =
+  List.filter
+    (fun j ->
+      record_type j = Some "span"
+      && Option.(bind (Json.member "name" j) Json.str) = Some name)
+    records
+
+(* Every Improve trace event rides inside its improve.pass span, in call
+   order, carrying the event's iteration, kind and value after the call;
+   every committed block is its driver.iteration span's size and pins. *)
 let test_driver_improve_spans () =
-  (* every Improve trace event must ride inside a matching improve.pass
-     span: same multiset of (iteration, kind) *)
-  let hg =
-    Netlist.Generator.generate
-      (Netlist.Generator.default_spec ~name:"obs" ~cells:300 ~pads:40 ~seed:3)
-  in
-  let result, records =
-    with_obs (fun drain ->
-        let r = Fpart.Driver.run hg Device.xc2064 in
-        (r, drain ()))
-  in
-  let spans name =
-    List.filter
-      (fun j ->
-        Option.(bind (Json.member "type" j) Json.str) = Some "span"
-        && Option.(bind (Json.member "name" j) Json.str) = Some name)
-      records
-  in
+  let result, records = Lazy.force driver_run in
   let improve_events =
-    List.filter
-      (function Fpart.Trace.Improve _ -> true | _ -> false)
+    List.filter_map
+      (function
+        | Fpart.Trace.Improve { iteration; kind; value; _ } ->
+          Some (iteration, Fpart.Trace.kind_name kind, value)
+        | _ -> None)
       result.Fpart.Driver.trace
   in
-  let improve_spans = spans "improve.pass" in
+  let improve_spans = spans_named "improve.pass" records in
   Alcotest.(check bool) "multiple iterations exercised" true
     (result.Fpart.Driver.k > 1);
   Alcotest.(check int) "one span per Improve event" (List.length improve_events)
     (List.length improve_spans);
-  let span_keys = List.map improve_key improve_spans |> List.sort compare in
-  let event_keys =
-    List.map
+  List.iter2
+    (fun (iteration, kind, value) sp ->
+      Alcotest.(check (option int)) "iteration" (Some iteration)
+        Option.(bind (Json.member "iteration" sp) Json.int);
+      Alcotest.(check (option string)) "kind" (Some kind)
+        Option.(bind (Json.member "kind" sp) Json.str);
+      Alcotest.(check bool) "value_after is the event's value" true
+        (Json.member "value_after" sp = Some (Partition.Cost.value_to_json value)))
+    improve_events improve_spans;
+  let iteration_spans = spans_named "driver.iteration" records in
+  let committed =
+    List.filter_map
       (function
-        | Fpart.Trace.Improve { iteration; kind; _ } ->
-          (Some iteration, Some (Fpart.Trace.kind_name kind))
-        | _ -> assert false)
-      improve_events
-    |> List.sort compare
-  in
-  Alcotest.(check bool) "span/event (iteration, kind) multisets match" true
-    (span_keys = event_keys);
-  let iteration_spans = spans "driver.iteration" in
-  let bipartition_events =
-    List.filter
-      (function Fpart.Trace.Bipartition _ -> true | _ -> false)
+        | Fpart.Trace.Committed { size; pins; _ } -> Some (size, pins) | _ -> None)
       result.Fpart.Driver.trace
   in
-  Alcotest.(check int) "one span per driver iteration"
-    (List.length bipartition_events)
+  Alcotest.(check int) "one span per driver iteration" (List.length committed)
     (List.length iteration_spans);
-  Alcotest.(check int) "exactly one run span" 1 (List.length (spans "driver.run"))
+  List.iter2
+    (fun (size, pins) sp ->
+      Alcotest.(check (pair (option int) (option int)))
+        "committed block size and pins" (Some size, Some pins)
+        ( Option.(bind (Json.member "size" sp) Json.int),
+          Option.(bind (Json.member "pins" sp) Json.int) ))
+    committed iteration_spans;
+  Alcotest.(check int) "exactly one run span" 1
+    (List.length (spans_named "driver.run" records))
 
-let test_trace_event_json () =
-  let e =
-    Fpart.Trace.Improve
-      {
-        iteration = 2;
-        kind = Fpart.Trace.Min_io;
-        blocks = [ 1; 2 ];
-        value =
-          { Partition.Cost.feasible_blocks = 1; distance = 0.5; t_sum = 9; io_bal = 0.0 };
-        passes = 3;
-        moves = 4;
-        restarts = 1;
-      }
+(* A traced run writes each Improve() call once: no record repeats a
+   span (only spans and the per-FM-pass [pass] records remain, and no
+   span id is written twice), and each improve.pass span carries the
+   whole trajectory of its call. *)
+let test_driver_one_record_per_improve () =
+  let _, records = Lazy.force driver_run in
+  List.iter
+    (fun j ->
+      match record_type j with
+      | Some ("span" | "pass") -> ()
+      | ty ->
+        Alcotest.failf "record type %s repeats a span"
+          (Option.value ty ~default:"(none)"))
+    records;
+  let ids =
+    List.filter_map
+      (fun j -> Option.(bind (Json.member "id" j) Json.int))
+      (List.filter (fun j -> record_type j = Some "span") records)
   in
-  let j = Fpart.Trace.to_json e in
-  (match Json.of_string (Json.to_string j) with
-  | Ok j' -> Alcotest.(check bool) "round trips" true (j = j')
-  | Error err -> Alcotest.failf "invalid JSON: %s" err);
-  Alcotest.(check (option string))
-    "kind" (Some "min_io")
-    Option.(bind (Json.member "kind" j) Json.str)
+  Alcotest.(check int) "span ids are unique" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  Alcotest.(check bool) "pass records present" true
+    (List.exists (fun j -> record_type j = Some "pass") records);
+  List.iter
+    (fun j ->
+      if record_type j = Some "pass" then
+        match Option.(bind (Json.member "span" j) Json.int) with
+        | Some id when List.mem id ids -> ()
+        | _ -> Alcotest.fail "pass record outside any recorded span")
+    records;
+  List.iter
+    (fun sp ->
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) ("improve.pass has " ^ field) true
+            (Json.member field sp <> None))
+        [ "cut_before"; "cut_after"; "value_before"; "value_after" ])
+    (spans_named "improve.pass" records)
 
 let () =
   Alcotest.run "obs"
@@ -1239,7 +1246,8 @@ let () =
         [
           Alcotest.test_case "improve events wrapped in spans" `Quick
             test_driver_improve_spans;
-          Alcotest.test_case "trace event json" `Quick test_trace_event_json;
+          Alcotest.test_case "one record per Improve() call" `Quick
+            test_driver_one_record_per_improve;
         ] );
       ( "clock",
         [
@@ -1248,8 +1256,6 @@ let () =
         ] );
       ( "sink",
         [
-          Alcotest.test_case "tee and filtered composition" `Quick
-            test_tee_filtered_ordering;
           Alcotest.test_case "jsonl write error reported once" `Quick
             test_jsonl_write_error_reported_once;
           Alcotest.test_case "chrome export strict JSON" `Quick
@@ -1279,7 +1285,7 @@ let () =
           Alcotest.test_case "allocation exact between minor collections" `Quick
             test_resource_alloc_exact;
           Alcotest.test_case "delta arithmetic" `Quick test_resource_delta_add;
-          Alcotest.test_case "span records and counters" `Quick
+          Alcotest.test_case "span records carry resource fields" `Quick
             test_resource_span_records;
           Alcotest.test_case "disabled adds nothing" `Quick
             test_resource_disabled_no_fields;
